@@ -15,11 +15,15 @@ The zero-overhead contract: publishers must *not* construct an event
 unless :meth:`repro.obs.bus.EventBus.wants` says someone is listening.
 ``EVENT_KINDS`` maps the short ``kind`` strings (used in JSONL dumps and
 the flight recorder) back to classes.
+
+The JSONL codec lives here too (:func:`encode_event`, :func:`codec_for`):
+every writer and reader of recordings goes through it, so there is one
+definition of an event's line format (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple, Type
 
 
 class Event:
@@ -27,33 +31,36 @@ class Event:
 
     __slots__ = ("ts",)
     kind = "event"
+    #: Slot names, base class first; computed once per class.
+    FIELDS: Tuple[str, ...] = ("ts",)
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        names = []
+        for klass in reversed(cls.__mro__):
+            names.extend(klass.__dict__.get("__slots__", ()))
+        cls.FIELDS = tuple(names)
 
     def __init__(self, ts: int) -> None:
         self.ts = ts
 
-    def _fields(self) -> Tuple[str, ...]:
-        names = []
-        for klass in reversed(type(self).__mro__):
-            names.extend(getattr(klass, "__slots__", ()))
-        return tuple(names)
-
     def as_dict(self) -> Dict[str, Any]:
-        """Primitive dict form (JSONL export, flight-recorder dumps)."""
+        """Primitive dict form (flight-recorder dumps, watch frames)."""
         data: Dict[str, Any] = {"kind": self.kind}
-        for name in self._fields():
+        for name in self.FIELDS:
             data[name] = getattr(self, name)
         return data
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}"
-                           for n in self._fields())
+                           for n in self.FIELDS)
         return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
         return all(getattr(self, n) == getattr(other, n)
-                   for n in self._fields())
+                   for n in self.FIELDS)
 
 
 class RunMarker(Event):
@@ -446,3 +453,85 @@ MEMORY_EVENTS: Tuple[Type[Event], ...] = (CacheEvicted, CacheInvalidated)
 ALL_EVENTS: Tuple[Type[Event], ...] = CONTROL_EVENTS + MEMORY_EVENTS
 
 EVENT_KINDS: Dict[str, Type[Event]] = {e.kind: e for e in ALL_EVENTS}
+
+
+# ---------------------------------------------------------------------------
+# JSONL codec
+# ---------------------------------------------------------------------------
+
+class EventCodec:
+    """One event class's JSONL line format, compiled once.
+
+    ``encode(event)`` returns exactly
+    ``json.dumps(event.as_dict(), sort_keys=True, separators=(",", ":"))``
+    without building the dict or a fresh encoder: the sorted key layout
+    is fixed per class, so only the values are formatted per call.
+    Strings, ints and None are formatted inline; every other value
+    (floats, bools, subclasses) goes to the stdlib encoder, which keeps
+    the bytes identical by construction.
+
+    ``build(data)`` is the inverse for a mapping whose key set is
+    exactly ``keys``; validation is the decoder's job
+    (:class:`repro.obs.profile.EventDecoder`).
+    """
+
+    __slots__ = ("keys", "encode", "build")
+
+    def __init__(self, cls: Type[Event]) -> None:
+        import json
+        from json.encoder import encode_basestring_ascii
+
+        fields = cls.FIELDS
+        self.keys: FrozenSet[str] = frozenset(fields + ("kind",))
+        namespace: Dict[str, Any] = {
+            "S": encode_basestring_ascii, "R": int.__repr__,
+            "V": json.JSONEncoder(sort_keys=True,
+                                  separators=(",", ":")).encode,
+            "new": object.__new__, "cls": cls}
+        # encode: one local per value, then a single f-string whose
+        # literal parts are the sorted keys (and the constant kind).
+        lines = ["def encode(event):"]
+        parts = []
+        for index, name in enumerate(sorted(self.keys)):
+            key = encode_basestring_ascii(name) + ":"
+            if name == "kind":
+                parts.append(_literal(key + encode_basestring_ascii(
+                    cls.kind)))
+                continue
+            lines += [f"    v = event.{name}; t = type(v)",
+                      f"    _{index} = S(v) if t is str else R(v) if t is "
+                      "int else 'null' if v is None else V(v)"]
+            parts.append(_literal(key) + f"{{_{index}}}")
+        template = "{{" + ",".join(parts) + "}}"
+        lines.append(f"    return f{template!r}")
+        # build: assign every slot straight from the mapping.
+        lines.append("def build(data):")
+        lines.append("    event = new(cls)")
+        lines += [f"    event.{name} = data[{name!r}]" for name in fields]
+        lines.append("    return event")
+        exec("\n".join(lines), namespace)
+        self.encode: Callable[[Event], str] = namespace["encode"]
+        self.build: Callable[[Dict[str, Any]], Event] = namespace["build"]
+
+
+def _literal(text: str) -> str:
+    """``text`` escaped for the literal part of an f-string."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+_CODECS: Dict[Type[Event], EventCodec] = {}
+
+
+def codec_for(cls: Type[Event]) -> EventCodec:
+    """The (cached) :class:`EventCodec` of an event class."""
+    codec = _CODECS.get(cls)
+    if codec is None:
+        codec = _CODECS[cls] = EventCodec(cls)
+    return codec
+
+
+def encode_event(event: Event) -> str:
+    """One event's JSONL line (no newline), byte-identical to
+    ``json.dumps(event.as_dict(), sort_keys=True, separators=(",", ":"))``.
+    """
+    return codec_for(type(event)).encode(event)

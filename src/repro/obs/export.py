@@ -22,13 +22,16 @@ from __future__ import annotations
 import gzip
 import io
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO
+from itertools import islice
+from typing import (Any, BinaryIO, Dict, Iterable, List, Optional, Sequence,
+                    TextIO)
 
 from repro.obs.events import (CacheEvicted, CacheInvalidated, Event,
                               LockContended, MigrationStarted,
                               ObjectAssigned, ObjectMoved,
                               OperationFinished, RebalanceRound, RunMarker,
-                              ThreadArrived, ThreadFinished, ThreadSpawned)
+                              ThreadArrived, ThreadFinished, ThreadSpawned,
+                              encode_event)
 
 #: ``tid`` of the per-process scheduler track (cores use their own ids).
 SCHEDULER_TRACK = 10_000
@@ -45,28 +48,33 @@ SCHEDULER_TRACK = 10_000
 #: (``worker_join``, ``worker_lost``, ``lease_expired``).
 SCHEMA_VERSION = 5
 
+#: zlib level of every gzip file this package writes.  ``GzipFile``'s
+#: default (9) spends ~5x the compression time of level 6 on event
+#: recordings for ~10% fewer bytes (DESIGN.md §12).  Fixed, so gzip
+#: output stays byte-reproducible.
+GZIP_LEVEL = 6
 
-class _DeterministicGzipText(io.TextIOWrapper):
-    """Text writer over a gzip member with a pinned (zero) mtime.
 
-    ``gzip.open(..., "wt")`` stamps the current time into the member
-    header, which would break the byte-reproducibility contract of
-    :func:`jsonl_meta_line`; this wrapper pins ``mtime=0`` and closes
-    the underlying file (``GzipFile`` deliberately leaves it open).
+class _GzipMember(gzip.GzipFile):
+    """Write-only gzip member with a pinned (zero) mtime and level.
+
+    ``gzip.open(..., "w")`` stamps the current time (and file name) into
+    the member header, which would break the byte-reproducibility
+    contract of :func:`jsonl_meta_line`; this member pins ``mtime=0``,
+    writes no name, and closes the underlying file (``GzipFile``
+    deliberately leaves a passed-in file open).
     """
 
     def __init__(self, path: str) -> None:
         self._raw_file = open(path, "wb")
-        gz = gzip.GzipFile(filename="", fileobj=self._raw_file,
-                           mode="wb", mtime=0)
-        super().__init__(gz, encoding="utf-8", newline="")
+        super().__init__(filename="", fileobj=self._raw_file, mode="wb",
+                         compresslevel=GZIP_LEVEL, mtime=0)
 
     def close(self) -> None:
         try:
-            super().close()          # flush text + gzip trailer
+            super().close()          # flush the gzip trailer
         finally:
-            if not self._raw_file.closed:
-                self._raw_file.close()
+            self._raw_file.close()
 
 
 def open_text(path: str, mode: str = "r") -> TextIO:
@@ -74,14 +82,15 @@ def open_text(path: str, mode: str = "r") -> TextIO:
 
     Reading accepts multi-member archives (``cat a.gz b.gz`` of two
     shards is a valid recording); writing produces deterministic bytes
-    (member mtime pinned to 0) so gzip recordings stay reproducible.
+    (see :class:`_GzipMember`) so gzip recordings stay reproducible.
     Only ``"r"`` and ``"w"`` modes are supported for gzip targets.
     """
     if not str(path).endswith(".gz"):
         return open(path, mode, encoding="utf-8")
     if "r" in mode:
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return _DeterministicGzipText(path)
+    return io.TextIOWrapper(_GzipMember(path), encoding="utf-8",
+                            newline="")
 
 
 def chrome_trace(events: Sequence[Event],
@@ -205,32 +214,64 @@ def jsonl_meta_line() -> str:
                       separators=(",", ":"), sort_keys=True)
 
 
+class JsonlWriter:
+    """Streaming JSONL recording writer; ``.gz`` paths are gzipped.
+
+    The one write path for recordings: the :func:`jsonl_meta_line`
+    header, then one :func:`~repro.obs.events.encode_event` line per
+    event.  :meth:`write` may be called repeatedly (shard recorders
+    append case by case); lines are joined and written in chunks of
+    :attr:`CHUNK` events, so memory stays bounded for any stream length.
+    """
+
+    #: Events encoded per ``write`` call on the underlying file.
+    CHUNK = 4096
+
+    def __init__(self, path: str) -> None:
+        self._out: BinaryIO = (_GzipMember(path) if str(path).endswith(".gz")
+                               else open(path, "wb"))
+        self._out.write(jsonl_meta_line().encode() + b"\n")
+
+    def write(self, events: Iterable[Event]) -> None:
+        iterator = iter(events)
+        while True:
+            lines = list(map(encode_event, islice(iterator, self.CHUNK)))
+            if not lines:
+                return
+            lines.append("")
+            self._out.write("\n".join(lines).encode())
+
+    def close(self) -> None:
+        self._out.close()
+
+    def __enter__(self) -> "JsonlWriter":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+
 def events_to_jsonl(events: Iterable[Event]) -> str:
     """One compact JSON object per line, in stream order.
 
     The first line is a ``meta`` record carrying :data:`SCHEMA_VERSION`;
-    every following line is one event's :meth:`~Event.as_dict` form.
+    every following line is one event's
+    :func:`~repro.obs.events.encode_event` form.
     """
     lines = [jsonl_meta_line()]
-    lines.extend(
-        json.dumps(event.as_dict(), separators=(",", ":"), sort_keys=True)
-        for event in events)
+    lines.extend(map(encode_event, events))
     return "\n".join(lines)
 
 
 def write_jsonl(path: str, events: Iterable[Event]) -> str:
     """Write a JSONL recording; ``.jsonl.gz`` paths are gzipped.
 
-    Streams one event at a time (``events`` may be a generator of any
-    length) and produces bytes identical to ``events_to_jsonl`` plus a
-    trailing newline.
+    Streams ``events`` (a generator of any length is fine) through a
+    :class:`JsonlWriter`; the uncompressed bytes are ``events_to_jsonl``
+    plus a trailing newline.
     """
-    with open_text(path, "w") as handle:
-        handle.write(jsonl_meta_line() + "\n")
-        for event in events:
-            handle.write(json.dumps(event.as_dict(),
-                                    separators=(",", ":"),
-                                    sort_keys=True) + "\n")
+    with JsonlWriter(path) as writer:
+        writer.write(events)
     return path
 
 

@@ -26,13 +26,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Type)
+                    Sequence, Tuple, Union)
 
 from repro.analysis import SampleStats, summarise
 from repro.errors import ProfileError
 from repro.obs.events import (EVENT_KINDS, CacheEvicted, CacheInvalidated,
-                              Event, LockContended, MigrationStarted,
-                              OperationFinished, RunMarker)
+                              Event, EventCodec, LockContended,
+                              MigrationStarted, OperationFinished, RunMarker,
+                              codec_for)
 from repro.obs.export import SCHEMA_VERSION, open_text
 
 __all__ = [
@@ -62,12 +63,9 @@ class Recording:
         return stream_horizon(self.events)
 
 
-def _fields_of(cls: Type[Event]) -> Tuple[str, ...]:
-    """Slot names of an event class, base-first (mirrors Event._fields)."""
-    names: List[str] = []
-    for klass in reversed(cls.__mro__):
-        names.extend(getattr(klass, "__slots__", ()))
-    return tuple(names)
+#: Shared stdlib decoder: :meth:`json.JSONDecoder.raw_decode` skips
+#: ``json.loads``'s per-call argument handling on the hot ingest path.
+_JSON = json.JSONDecoder()
 
 
 class EventDecoder:
@@ -81,39 +79,73 @@ class EventDecoder:
 
     Repeated ``meta`` lines are accepted mid-stream: concatenated shard
     recordings (``cat a.jsonl.gz b.jsonl.gz``) are valid streams.
+
+    :meth:`decode` has a fast path for the common case, a mapping whose
+    keys are exactly its kind's fields: such a line is valid under every
+    schema, so it is built straight through the kind's
+    :class:`~repro.obs.events.EventCodec`.  Anything else takes
+    :meth:`_decode_slow`, which validates and raises
+    :class:`~repro.errors.ProfileError` with the location.
     """
 
     def __init__(self, source: Optional[str] = None) -> None:
         self.source = source
         self.schema = 1          # headerless = legacy
         self.saw_meta = False
+        #: kind -> codec, filled by the slow path on a kind's first
+        #: record, so only kinds the stream carries are compiled.
+        self._codecs: Dict[str, EventCodec] = {}
 
-    def _error(self, where: str, message: str) -> ProfileError:
+    def _error(self, where: Union[int, str], message: str) -> ProfileError:
         prefix = f"{self.source}: " if self.source else ""
+        if isinstance(where, int):
+            where = f"line {where}"
         return ProfileError(f"{prefix}{where}: {message}")
 
     def decode_line(self, raw: str, lineno: int) -> Optional[Event]:
         """Decode one text line; None for blanks and ``meta`` headers."""
-        line = raw.strip()
-        if not line:
-            return None
-        where = f"line {lineno}"
         try:
-            data = json.loads(line)
-        except ValueError as exc:
-            raise self._error(where, f"not valid JSON: {exc}")
+            data, end = _JSON.raw_decode(raw)
+            whole = end == len(raw) or raw[end:].isspace()
+        except ValueError:
+            whole = False
+        if not whole:
+            # Leading blanks, blank lines and malformed JSON: redo the
+            # line the strict way for the exact error message.
+            line = raw.strip()
+            if not line:
+                return None
+            try:
+                data = json.loads(line)
+            except ValueError as exc:
+                raise self._error(lineno, f"not valid JSON: {exc}")
+        return self.decode(data, lineno)
+
+    def decode(self, data: Dict[str, Any],
+               where: Union[int, str] = "event") -> Optional[Event]:
+        """Decode one ``as_dict``-shaped mapping; None for ``meta``.
+
+        ``where`` locates the record in errors: an int is a line number.
+        """
+        try:
+            codec = self._codecs.get(data["kind"])
+        except (KeyError, TypeError):
+            codec = None
+        if codec is not None and data.keys() == codec.keys:
+            return codec.build(data)
+        return self._decode_slow(data, where)
+
+    def _decode_slow(self, data: Any,
+                     where: Union[int, str]) -> Optional[Event]:
+        """Validating decode; returns what :meth:`decode` would."""
         if not isinstance(data, dict) or "kind" not in data:
             raise self._error(
                 where, "expected an object with a 'kind' field")
-        return self.decode(data, where)
-
-    def decode(self, data: Dict[str, Any],
-               where: str = "event") -> Optional[Event]:
-        """Decode one ``as_dict``-shaped mapping; None for ``meta``."""
         kind = data["kind"]
         if kind == "meta":
             version = data.get("schema_version")
-            if not isinstance(version, int) or version < 1:
+            if (not isinstance(version, int) or isinstance(version, bool)
+                    or version < 1):
                 raise self._error(
                     where, f"bad schema_version {version!r}")
             if version > SCHEMA_VERSION:
@@ -124,23 +156,20 @@ class EventDecoder:
             self.schema = version
             self.saw_meta = True
             return None
-        cls = EVENT_KINDS.get(kind)
+        cls = EVENT_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise self._error(where, f"unknown event kind {kind!r}")
-        fields = _fields_of(cls)
-        given = set(data) - {"kind"}
-        missing = set(fields) - given
-        extra = given - set(fields)
+        codec = self._codecs[kind] = codec_for(cls)
+        missing = codec.keys.difference(data)
+        extra = data.keys() - codec.keys
         if extra:
             raise self._error(
                 where, f"{kind} carries unknown fields {sorted(extra)}")
         if missing and (self.schema >= SCHEMA_VERSION or self.saw_meta):
             raise self._error(
                 where, f"{kind} is missing fields {sorted(missing)}")
-        event = object.__new__(cls)
-        for name in fields:
-            setattr(event, name, data.get(name))
-        return event
+        # Legacy (headerless) streams lack newer fields: None-fill them.
+        return codec.build({**dict.fromkeys(missing), **data})
 
 
 def parse_jsonl(lines: Iterable[str],

@@ -42,7 +42,7 @@ from repro.obs.events import (CacheEvicted, CacheInvalidated, Event,
                               OperationStarted, RunMarker,
                               SweepCaseFailed, SweepCaseFinished,
                               SweepCaseStarted, WorkerJoined, WorkerLost)
-from repro.obs.export import SCHEMA_VERSION, jsonl_meta_line, open_text
+from repro.obs.export import SCHEMA_VERSION, JsonlWriter, open_text
 from repro.obs.metrics import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                                Histogram)
 
@@ -1179,27 +1179,24 @@ class ShardRecorder:
                                          f"{name}.profile.json")
         self._profiler = StreamProfiler(sample_capacity=sample_capacity,
                                         sample_seed=sample_seed)
-        self._handle: Optional[Any] = None
+        self._writer: Optional[JsonlWriter] = None
         self.cases = 0
 
     def record(self, case: Any, key: str,
                events: Sequence[Event]) -> None:
-        if self._handle is None:
-            self._handle = open_text(self.events_path, "w")
-            self._handle.write(jsonl_meta_line() + "\n")
+        if self._writer is None:
+            self._writer = JsonlWriter(self.events_path)
+        self._writer.write(events)
         for event in events:
-            self._handle.write(json.dumps(event.as_dict(),
-                                          separators=(",", ":"),
-                                          sort_keys=True) + "\n")
             self._profiler.feed(event)
         self.cases += 1
 
     def close(self) -> Optional[str]:
         """Flush the shard; returns the profile path (None if no cases)."""
-        if self._handle is None:
+        if self._writer is None:
             return None
-        self._handle.close()
-        self._handle = None
+        self._writer.close()
+        self._writer = None
         with open(self.profile_path, "w", encoding="utf-8") as handle:
             handle.write(self._profiler.profile.to_json() + "\n")
         return self.profile_path
