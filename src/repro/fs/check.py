@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
+from repro.errors import FilesystemError
+from repro.fs.directory import DirEntry, FatDirectory, cluster_slots
 from repro.fs.fat import DIR_ENTRY_SIZE, FIRST_CLUSTER, FREE, FatImage
 from repro.fs.image import FatFilesystem
 
@@ -92,9 +94,15 @@ def _check_fat_links(image: FatImage, report: FsckReport) -> None:
 
 
 def _walk_chain(image: FatImage, first: int, owner: str,
-                owners: Dict[int, str], report: FsckReport) -> int:
-    """Walk a chain claiming clusters for ``owner``; returns length."""
-    length = 0
+                owners: Dict[int, str],
+                report: FsckReport) -> Tuple[List[int], bool]:
+    """Walk a chain claiming clusters for ``owner``.
+
+    Returns the clusters walked and whether the walk reached the
+    end-of-chain marker (False after an invalid cluster or a cycle, both
+    reported).
+    """
+    clusters: List[int] = []
     cluster = first
     limit = FIRST_CLUSTER + image.params.n_clusters
     seen = set()
@@ -102,19 +110,47 @@ def _walk_chain(image: FatImage, first: int, owner: str,
         if not FIRST_CLUSTER <= cluster < limit:
             report.error(f"{owner}: chain reaches invalid cluster "
                          f"{cluster}")
-            return length
+            return clusters, False
         if cluster in seen:
             report.error(f"{owner}: chain cycles at cluster {cluster}")
-            return length
+            return clusters, False
         seen.add(cluster)
         previous_owner = owners.get(cluster)
         if previous_owner is not None:
             report.error(f"cluster {cluster} cross-linked between "
                          f"{previous_owner} and {owner}")
         owners[cluster] = owner
-        length += 1
+        clusters.append(cluster)
         cluster = image.fat_read(cluster)
-    return length
+    return clusters, True
+
+
+def _check_entries(image: FatImage, name: str, directory: FatDirectory,
+                   clusters: List[int], report: FsckReport) -> None:
+    """Entry checks over a chain this check's own walk validated (the
+    directory's chain is not re-walked per entry)."""
+    slots = cluster_slots(image, clusters)
+    seen_names = set()
+    for index in range(directory.n_entries):
+        report.entries_checked += 1
+        try:
+            entry = DirEntry.decode(image.read(slots[index], DIR_ENTRY_SIZE))
+        except FilesystemError as exc:   # the failure is the finding
+            report.error(f"dir:{name}[{index}]: undecodable: {exc}")
+            continue
+        if entry is None:
+            report.error(f"dir:{name}[{index}]: free slot below "
+                         "n_entries")
+            continue
+        if entry.name in seen_names:
+            report.error(f"dir:{name}: duplicate entry "
+                         f"{entry.name!r}")
+        seen_names.add(entry.name)
+    # Slots past n_entries must be free (a never-used slot's first name
+    # byte is 0).
+    if (directory.n_entries < directory.capacity_entries
+            and image.data[slots[directory.n_entries]] != 0):
+        report.warn(f"dir:{name}: data past n_entries")
 
 
 def fsck(fs: FatFilesystem) -> FsckReport:
@@ -128,34 +164,14 @@ def fsck(fs: FatFilesystem) -> FsckReport:
     owners: Dict[int, str] = {}
     for name, directory in sorted(fs.directories.items()):
         report.directories_checked += 1
-        length = _walk_chain(image, directory.first_cluster,
-                             f"dir:{name}", owners, report)
+        clusters, complete = _walk_chain(image, directory.first_cluster,
+                                         f"dir:{name}", owners, report)
         needed = -(-directory.capacity_entries * DIR_ENTRY_SIZE
                    // params.cluster_bytes)
-        if length < needed:
-            report.error(f"dir:{name}: chain has {length} clusters, "
+        if len(clusters) < needed:
+            report.error(f"dir:{name}: chain has {len(clusters)} clusters, "
                          f"capacity needs {needed}")
-            continue
-        seen_names = set()
-        for index in range(directory.n_entries):
-            report.entries_checked += 1
-            try:
-                entry = directory.entry_at(index)
-            except Exception as exc:     # decoding failure is the finding
-                report.error(f"dir:{name}[{index}]: undecodable: {exc}")
-                continue
-            if entry is None:
-                report.error(f"dir:{name}[{index}]: free slot below "
-                             "n_entries")
-                continue
-            if entry.name in seen_names:
-                report.error(f"dir:{name}: duplicate entry "
-                             f"{entry.name!r}")
-            seen_names.add(entry.name)
-        # Slots past n_entries must be free.
-        if directory.n_entries < directory.capacity_entries:
-            probe = directory.entry_at(directory.n_entries)
-            if probe is not None:
-                report.warn(f"dir:{name}: data past n_entries")
+        elif complete:
+            _check_entries(image, name, directory, clusters, report)
     report.clusters_used = len(owners)
     return report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.errors import FilesystemError
 from repro.fs.fat import DIR_ENTRY_SIZE, FatImage
@@ -53,6 +53,14 @@ class DirEntry:
         return cls(decode_name(name), attributes, first_cluster, size)
 
 
+def cluster_slots(image: FatImage, clusters: List[int]) -> List[int]:
+    """Image offsets of the entry slots in ``clusters``, in chain order."""
+    return [image.cluster_offset(cluster) + position
+            for cluster in clusters
+            for position in range(0, image.params.cluster_bytes,
+                                  DIR_ENTRY_SIZE)]
+
+
 class FatDirectory:
     """Handle on one directory's cluster chain inside an image."""
 
@@ -76,17 +84,21 @@ class FatDirectory:
     def bytes_used(self) -> int:
         return self.n_entries * DIR_ENTRY_SIZE
 
+    def slot_offsets(self) -> List[int]:
+        """Image offsets of the entry slots in index order (at most
+        ``capacity_entries``), from one walk of the cluster chain."""
+        clusters = self.image.chain(self.first_cluster)
+        return cluster_slots(self.image, clusters)[:self.capacity_entries]
+
     def entry_offset(self, index: int) -> int:
         """Image offset of entry ``index`` (walking the chain)."""
         if not 0 <= index < self.capacity_entries:
             raise FilesystemError(
                 f"{self.name}: entry {index} out of range")
-        byte_index = index * DIR_ENTRY_SIZE
-        for offset, nbytes in self.extents():
-            if byte_index < nbytes:
-                return offset + byte_index
-            byte_index -= nbytes
-        raise FilesystemError(f"{self.name}: chain shorter than capacity")
+        slots = self.slot_offsets()
+        if index >= len(slots):
+            raise FilesystemError(f"{self.name}: chain shorter than capacity")
+        return slots[index]
 
     # ------------------------------------------------------------------
     # entries
@@ -94,16 +106,30 @@ class FatDirectory:
 
     def append(self, entry: DirEntry) -> int:
         """Write ``entry`` into the next free slot; returns its index."""
-        if self.n_entries >= self.capacity_entries:
-            raise FilesystemError(f"directory {self.name} is full")
-        index = self.n_entries
-        self.image.write(self.entry_offset(index), entry.encode())
-        self.n_entries += 1
-        return index
+        self.extend((entry,))
+        return self.n_entries - 1
 
-    def entry_at(self, index: int) -> Optional[DirEntry]:
-        raw = self.image.read(self.entry_offset(index), DIR_ENTRY_SIZE)
-        return DirEntry.decode(raw)
+    def extend(self, entries: Iterable[DirEntry]) -> None:
+        """Append ``entries`` in order, walking the cluster chain once."""
+        slots = self.slot_offsets()
+        for entry in entries:
+            if self.n_entries >= self.capacity_entries:
+                raise FilesystemError(f"directory {self.name} is full")
+            if self.n_entries >= len(slots):
+                raise FilesystemError(
+                    f"{self.name}: chain shorter than capacity")
+            self.image.write(slots[self.n_entries], entry.encode())
+            self.n_entries += 1
+
+    def entries(self) -> Iterator[Optional[DirEntry]]:
+        """Decode the used entries in index order (None for a free slot),
+        walking the cluster chain once."""
+        slots = self.slot_offsets()
+        if len(slots) < self.n_entries:
+            raise FilesystemError(f"{self.name}: chain shorter than capacity")
+        read = self.image.read
+        for offset in slots[:self.n_entries]:
+            yield DirEntry.decode(read(offset, DIR_ENTRY_SIZE))
 
     def search(self, name: str) -> Optional[tuple]:
         """Linear scan for ``name``; returns (index, entry) or None.
@@ -113,18 +139,11 @@ class FatDirectory:
         memory costs for exactly the bytes this walk touches.
         """
         wanted = encode_name(name)
-        image = self.image
-        index = 0
-        for offset, nbytes in self.extents():
-            position = offset
-            end = offset + nbytes
-            while position < end and index < self.n_entries:
-                raw = image.read(position, DIR_ENTRY_SIZE)
-                if raw[:11] == wanted:
-                    entry = DirEntry.decode(raw)
-                    return index, entry
-                position += DIR_ENTRY_SIZE
-                index += 1
+        read = self.image.read
+        for index, offset in enumerate(self.slot_offsets()[:self.n_entries]):
+            raw = read(offset, DIR_ENTRY_SIZE)
+            if raw[:11] == wanted:
+                return index, DirEntry.decode(raw)
         return None
 
     def __repr__(self) -> str:

@@ -105,8 +105,7 @@ class EfslFat:
     def _index_names(fat_dir: FatDirectory) -> Dict[str, int]:
         """Decode every entry once; doubles as an image validity check."""
         names: Dict[str, int] = {}
-        for index in range(fat_dir.n_entries):
-            entry = fat_dir.entry_at(index)
+        for index, entry in enumerate(fat_dir.entries()):
             if entry is None:
                 raise FilesystemError(
                     f"{fat_dir.name}: unexpected free slot at {index}")

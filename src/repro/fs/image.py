@@ -97,8 +97,8 @@ class FatFilesystem:
         fs = cls(params)
         for d in range(n_dirs):
             directory = fs.mkdir(dir_name(d), files_per_dir)
-            for f in range(files_per_dir):
-                fs.create_file(directory, file_name(f))
+            directory.extend(DirEntry(file_name(f), ATTR_ARCHIVE, 0, 0)
+                             for f in range(files_per_dir))
         return fs
 
     def directory_list(self) -> List[FatDirectory]:

@@ -13,13 +13,21 @@ cares about:
 
 Holder ids are small integers: ``0 .. n_cores-1`` identify the private
 (L1+L2) hierarchy of each core, and ``n_cores + chip_id`` identifies a
-chip's shared L3.  Only :class:`repro.mem.system.MemorySystem` mutates the
-directory, keeping it consistent with actual cache contents.
+chip's shared L3.  A line's holder set is stored as an int bitmask (bit
+``h`` set iff holder ``h`` has a copy), so the memory system's fast paths
+update it with bit operations rather than set method calls.  Only
+:class:`repro.mem.system.MemorySystem` mutates the directory, keeping it
+consistent with actual cache contents.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
+
+
+def holder_ids(mask: int) -> FrozenSet[int]:
+    """The holder ids whose bits are set in ``mask``."""
+    return frozenset(h for h in range(mask.bit_length()) if mask >> h & 1)
 
 
 class SharingDirectory:
@@ -29,13 +37,10 @@ class SharingDirectory:
 
     def __init__(self, n_cores: int) -> None:
         self.n_cores = n_cores
-        self._holders: Dict[int, Set[int]] = {}
+        #: line -> holder bitmask; uncached lines have no entry.
+        self._holders: Dict[int, int] = {}
 
     # -- holder-id helpers ------------------------------------------------
-
-    def core_holder(self, core_id: int) -> int:
-        """Holder id for a core's private caches."""
-        return core_id
 
     def l3_holder(self, chip_id: int) -> int:
         """Holder id for a chip's shared L3."""
@@ -44,49 +49,23 @@ class SharingDirectory:
     def is_l3_holder(self, holder: int) -> bool:
         return holder >= self.n_cores
 
-    def chip_of_holder(self, holder: int, cores_per_chip: int) -> int:
-        """Chip on which ``holder`` (core or L3) resides."""
-        if holder >= self.n_cores:
-            return holder - self.n_cores
-        return holder // cores_per_chip
-
     # -- membership --------------------------------------------------------
 
     def add(self, line: int, holder: int) -> None:
-        holders = self._holders.get(line)
-        if holders is None:
-            self._holders[line] = {holder}
-        else:
-            holders.add(holder)
+        holders = self._holders
+        holders[line] = holders.get(line, 0) | 1 << holder
 
     def discard(self, line: int, holder: int) -> None:
-        holders = self._holders.get(line)
-        if holders is None:
-            return
-        holders.discard(holder)
-        if not holders:
-            del self._holders[line]
+        holders = self._holders
+        mask = holders.get(line, 0) & ~(1 << holder)
+        if mask:
+            holders[line] = mask
+        else:
+            holders.pop(line, None)
 
     def holders(self, line: int) -> FrozenSet[int]:
         """Immutable view of the holders of ``line`` (empty if uncached)."""
-        holders = self._holders.get(line)
-        return frozenset(holders) if holders else frozenset()
-
-    def holders_excluding(self, line: int, holder: int) -> List[int]:
-        """Holders of ``line`` other than ``holder`` (mutation-safe list)."""
-        holders = self._holders.get(line)
-        if not holders:
-            return []
-        return [h for h in holders if h != holder]
-
-    def any_holder(self, line: int) -> Optional[int]:
-        holders = self._holders.get(line)
-        if not holders:
-            return None
-        return next(iter(holders))
-
-    def is_cached(self, line: int) -> bool:
-        return line in self._holders
+        return holder_ids(self._holders.get(line, 0))
 
     def quiescent_for(self, line: int, holder: int) -> bool:
         """True when touching ``line`` from ``holder`` cannot generate
@@ -95,22 +74,20 @@ class SharingDirectory:
         store can skip the invalidation sweep entirely (no remote copy
         exists to invalidate), keeping a quiescent core's run of events
         free of cross-core interaction."""
-        holders = self._holders.get(line)
-        if holders is None:
-            return True
-        return len(holders) == 1 and holder in holders
+        mask = self._holders.get(line, 0)
+        return not mask or mask == 1 << holder
 
     def sharer_count(self, line: int) -> int:
-        holders = self._holders.get(line)
-        return len(holders) if holders else 0
+        return self._holders.get(line, 0).bit_count()
 
     def cached_lines(self) -> Iterable[int]:
         return self._holders.keys()
 
-    def items(self) -> Iterable[tuple]:
-        """(line, holder-set view) pairs — the invariant checker walks
-        these to reconcile the directory against actual cache contents."""
-        return self._holders.items()
+    def items(self) -> Iterator[Tuple[int, FrozenSet[int]]]:
+        """(line, holder set) pairs — the invariant checker walks these
+        to reconcile the directory against actual cache contents."""
+        for line, mask in self._holders.items():
+            yield line, holder_ids(mask)
 
     def clear(self) -> None:
         """Forget every holder, in place (keeps the dict's identity — the

@@ -25,11 +25,18 @@ for poor implicit on-chip-memory scheduling.
 Hot-path layout: when every cache is a plain :class:`LRUCache` (the
 default factory), per-line lookups run through :meth:`_load_line_fast`,
 which works on a per-core tuple of flattened state — counter bank, the
-caches' underlying ordered dicts and capacities, chip id, L3 holder id —
-plus the directory's raw line->holders dict.  This removes every Python
-method call from the hit paths and the insert cascade while mutating the
-exact same underlying structures, so behaviour (and event streams) are
-bit-identical to the generic path used under a custom ``cache_factory``.
+caches' underlying ordered dicts and capacities, chip id, the core's and
+its L3's holder bits — plus the directory's raw line -> holder-bitmask
+dict.  This removes every Python method call from the hit paths and the
+insert cascade while mutating the exact same underlying structures, so
+behaviour (and event streams) are bit-identical to the generic path used
+under a custom ``cache_factory``.
+
+Because the directory always matches the caches, a chip's L3 bit in a
+line's holder mask is set iff that L3 holds the line; after an L1 and L2
+miss the fast paths read L3 residency from the mask they fetched anyway,
+and the bits of the other chips locate the nearest remote copy (ties go
+to the lowest chip id).
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from repro.obs.events import CacheEvicted, CacheInvalidated
 from repro.mem.counters import CoreCounters
 from repro.mem.dram import UTILISATION_CAP, UTILISATION_TAU, Dram
 from repro.mem.interconnect import Interconnect
-from repro.mem.sharing import SharingDirectory
+from repro.mem.sharing import SharingDirectory, holder_ids
 
 #: Where a load was satisfied (returned by the internal load path and used
 #: by the scan loop's stream-prefetch logic and by tests).
@@ -94,11 +101,19 @@ class MemorySystem:
         self._holder_chip: List[int] = (
             [spec.chip_of(c) for c in range(n_cores)]
             + list(range(spec.n_chips)))
-        #: chip x chip hop-distance matrix (avoids spec method calls).
-        self._dist: List[List[int]] = [
-            [spec.chip_distance(a, b) for b in range(spec.n_chips)]
+        # Nearest-holder search: per requesting chip, every chip paired
+        # with its holder mask (its cores' bits plus its L3's bit),
+        # nearest first and ties to the lowest chip id.  The first chip
+        # whose mask meets a line's holder mask supplies the line.
+        chip_masks = [0] * spec.n_chips
+        for holder, chip in enumerate(self._holder_chip):
+            chip_masks[chip] |= 1 << holder
+        self._near: List[List[Tuple[int, int]]] = [
+            [(b, chip_masks[b]) for b in sorted(
+                range(spec.n_chips),
+                key=lambda b: (spec.chip_distance(a, b), b))]
             for a in range(spec.n_chips)]
-        #: The directory's raw line -> holder-set dict.  Shared identity
+        #: The directory's raw line -> holder-bitmask dict.  Shared identity
         #: with ``self.directory._holders`` for the lifetime of the
         #: system (``flush_all`` clears it in place).
         self._holders = self.directory._holders
@@ -120,7 +135,7 @@ class MemorySystem:
                     l1, l1._lines, l1.capacity,
                     l2, l2._lines, l2.capacity,
                     l3, l3._lines, l3.capacity,
-                    chip, self.directory.l3_holder(chip), c))
+                    chip, 1 << self.directory.l3_holder(chip), 1 << c))
             #: Just the L1 ordered dicts, for the hit path's early probe
             #: (no 13-tuple unpack on a hit).
             self._l1ds = [l1._lines for l1 in self.l1s]
@@ -191,10 +206,9 @@ class MemorySystem:
         latency, _ = self._load_line(core_id, line, now, False)
         counters = self.counters[core_id]
         counters.stores += 1
-        holders = self._holders.get(line)
-        others = ([h for h in holders if h != core_id]
-                  if holders else None)
-        if others:
+        mask = self._holders.get(line, 0) & ~(1 << core_id)
+        if mask:
+            others = holder_ids(mask)
             my_chip = self._chip_of[core_id]
             holder_chip = self._holder_chip
             invalidate = self.interconnect.invalidate_latency
@@ -236,7 +250,7 @@ class MemorySystem:
         if self._fast:
             state = self._core_state[core_id]
             (counters, l1, l1d, l1_cap, l2, l2d, l2_cap, l3, l3d, l3_cap,
-             chip, l3_holder, _) = state
+             _, _, _) = state
             if not (l1.pinned or l2.pinned or l3.pinned):
                 return self._scan_fast(
                     core_id, first, last, now, per_line_compute, state)
@@ -281,19 +295,21 @@ class MemorySystem:
         per-core state, the directory dict, the interconnect cost tables
         and the DRAM controllers all held in locals, and with counter
         increments accumulated outside the loop.  Mutations — dict probe
-        order, the L1 -> L2 -> L3 victim cascade, holder-set history, DRAM
+        order, the L1 -> L2 -> L3 victim cascade, holder masks, DRAM
         demand decay — are performed in exactly the order of the per-line
         path, so counters and event streams stay byte-identical to it.
         """
         (counters, l1, l1d, l1_cap, l2, l2d, l2_cap, l3, l3d, l3_cap,
-         chip, l3_holder, _) = state
+         chip, l3_bit, core_bit) = state
         holders_map = self._holders
+        holders_get = holders_map.get
+        not_core = ~core_bit
+        not_l3 = ~l3_bit
         hit1 = self._lat_l1 + per_line_compute
         hit2 = self._lat_l2 + per_line_compute
         hit3 = self._lat_l3 + per_line_compute
-        dist = self._dist[chip]
-        holder_chips = self._holder_chip
-        one_chip = len(dist) == 1
+        near = self._near[chip]
+        one_chip = len(near) == 1
         interconnect = self.interconnect
         remote_cost = interconnect._remote_cost[chip]
         stream_cost = interconnect._stream_cost[chip]
@@ -325,7 +341,6 @@ class MemorySystem:
         # are off, only the DRAM branches need ``line_now``.
         publishing = bus is not None and bus.wants(CacheEvicted)
         l1_move = l1d.move_to_end
-        l2_move = l2d.move_to_end
         l3_move = l3d.move_to_end
         l1_pop = l1d.popitem
         l2_pop = l2d.popitem
@@ -348,77 +363,56 @@ class MemorySystem:
                 continue
             if publishing:
                 line_now = now + total
-            # One holders probe classifies the line AND feeds the insert
-            # cascade below (``grow`` is the set to extend with core_id,
-            # or None when a fresh singleton must be created) — the
-            # per-line path probes twice, with identical results.
             if line in l2d:
                 c2 += 1
                 del l2d[line]
                 n2 -= 1
-                grow = False
                 total += hit2
                 stream_run = False
-            elif line in l3d:
-                c3 += 1
-                holders = holders_map.get(line)
-                if holders is not None and len(holders) > 1:
-                    l3_move(line)
-                    grow = holders
-                else:
-                    del l3d[line]
-                    n3 -= 1
-                    grow = None
-                    if holders is not None:
-                        holders.discard(l3_holder)
-                        if holders:
-                            grow = holders
-                        else:
-                            del holders_map[line]
-                total += hit3
-                stream_run = False
-            elif one_chip:
-                holders = holders_map.get(line)
-                grow = holders or None
-                if holders:
-                    # Any holder is distance 0; identity never affects
-                    # cost or counters on one chip.
-                    cr += 1
-                    total += (sc0 if stream_run else rc0) \
-                        + per_line_compute
-                else:
-                    cd += 1
-                    line_now = now + total
-                    if line_now > ctl_clock:
-                        ctl_demand *= _exp(
-                            (ctl_clock - line_now) / UTILISATION_TAU)
-                        ctl_clock = line_now
-                    ctl_demand += ctl_occ
-                    rho = ctl_demand / UTILISATION_TAU
-                    if rho > UTILISATION_CAP:
-                        rho = UTILISATION_CAP
-                    queue_delay = int(ctl_occ * rho / (1.0 - rho) * 0.5)
-                    ctl_lines += 1
-                    ctl_queued += queue_delay
-                    total += (queue_delay
-                              + (rs0 if stream_run else rb0)
-                              + per_line_compute)
-                stream_run = True
             else:
-                holders = holders_map.get(line)
-                holder = None
-                if holders:
-                    best_d = 1 << 30
-                    for h in holders:
-                        d = dist[holder_chips[h]]
-                        if d < best_d:
-                            holder, best_d = h, d
-                            if d == 0:
-                                break
-                grow = holders or None
-                if holder is not None:
+                # One directory probe classifies the rest: the L3 bit is
+                # set iff this chip's L3 holds the line, the other bits
+                # are the remote holders.
+                mask = holders_get(line, 0)
+                if mask & l3_bit:
+                    c3 += 1
+                    if mask != l3_bit:
+                        l3_move(line)
+                    else:
+                        del l3d[line]
+                        n3 -= 1
+                        mask = 0
+                    total += hit3
+                    stream_run = False
+                elif one_chip:
+                    if mask:
+                        # Any holder is distance 0.
+                        cr += 1
+                        total += (sc0 if stream_run else rc0) \
+                            + per_line_compute
+                    else:
+                        cd += 1
+                        line_now = now + total
+                        if line_now > ctl_clock:
+                            ctl_demand *= _exp(
+                                (ctl_clock - line_now) / UTILISATION_TAU)
+                            ctl_clock = line_now
+                        ctl_demand += ctl_occ
+                        rho = ctl_demand / UTILISATION_TAU
+                        if rho > UTILISATION_CAP:
+                            rho = UTILISATION_CAP
+                        queue_delay = int(ctl_occ * rho / (1.0 - rho) * 0.5)
+                        ctl_lines += 1
+                        ctl_queued += queue_delay
+                        total += (queue_delay
+                                  + (rs0 if stream_run else rb0)
+                                  + per_line_compute)
+                    stream_run = True
+                elif mask:
                     cr += 1
-                    hchip = holder_chips[holder]
+                    for hchip, chip_mask in near:
+                        if mask & chip_mask:
+                            break
                     if stream_run:
                         total += stream_cost[hchip] + per_line_compute
                     else:
@@ -449,40 +443,25 @@ class MemorySystem:
                                              else raw_base)[bank]
                               + per_line_compute)
                     stream_run = True
+                holders_map[line] = mask | core_bit
             # --- inlined insert cascade (pin-free variant) --------------
-            if grow is not False:
-                if grow is None:
-                    holders_map[line] = {core_id}
-                else:
-                    grow.add(core_id)
             l1d[line] = None
             n1 += 1
             if n1 <= l1_cap:
                 continue
             e1 += 1
             n1 -= 1
-            victim = l1_pop(False)[0]
-            if victim in l2d:
-                l2_move(victim)
-                continue
-            l2d[victim] = None
+            # Levels are exclusive: the L1 victim is never in L2.
+            l2d[l1_pop(False)[0]] = None
             n2 += 1
             if n2 <= l2_cap:
                 continue
             e2 += 1
             n2 -= 1
             victim2 = l2_pop(False)[0]
-            holders = holders_map.get(victim2)
-            if holders is not None:
-                holders.discard(core_id)
-                if not holders:
-                    del holders_map[victim2]
-                    holders = None
-            if holders is None:
-                holders_map[victim2] = {l3_holder}
-            else:
-                holders.add(l3_holder)
-            if victim2 in l3d:
+            mask = holders_map[victim2]
+            holders_map[victim2] = (mask & not_core) | l3_bit
+            if mask & l3_bit:
                 l3_move(victim2)
                 continue
             l3d[victim2] = None
@@ -492,11 +471,11 @@ class MemorySystem:
             e3 += 1
             n3 -= 1
             victim3 = l3_pop(False)[0]
-            holders = holders_map.get(victim3)
-            if holders is not None:
-                holders.discard(l3_holder)
-                if not holders:
-                    del holders_map[victim3]
+            mask = holders_map[victim3] & not_l3
+            if mask:
+                holders_map[victim3] = mask
+            else:
+                del holders_map[victim3]
             if publishing:
                 bus.publish(CacheEvicted(line_now, core_id, "L3", victim3,
                                          self.op_obj[core_id]))
@@ -528,7 +507,7 @@ class MemorySystem:
         """Flattened :meth:`_load_line` for all-LRU cache hierarchies.
 
         Operates directly on the caches' ordered dicts and the directory's
-        holder-set dict — the lookup, the hit bookkeeping, and the full
+        holder-mask dict — the lookup, the hit bookkeeping, and the full
         L1 -> L2 -> L3 victim cascade run inline with zero intermediate
         method calls.  Mutations are identical to the generic path, so the
         two produce byte-identical event streams.
@@ -539,53 +518,40 @@ class MemorySystem:
             self.counters[core_id].l1_hits += 1
             return self._res_l1
         (counters, l1, _, l1_cap, l2, l2d, l2_cap, l3, l3d, l3_cap,
-         chip, l3_holder, _) = self._core_state[core_id]
+         chip, l3_bit, core_bit) = self._core_state[core_id]
         holders_map = self._holders
-        already_held = False
         if line in l2d:
             counters.l2_hits += 1
             del l2d[line]
             if l2.pinned:
                 l2.pinned.discard(line)
-            already_held = True
             result = self._res_l2
-        elif line in l3d:
-            # AMD K10's non-inclusive L3: on a hit, keep the L3 copy when
-            # the line is shared (other private holders exist), so chip-
-            # shared data keeps serving at 75 cycles; hand it over
-            # exclusively when this requester is the only interested
-            # party, so single-reader data (CoreTime-partitioned objects)
-            # does not burn capacity twice.
-            counters.l3_hits += 1
-            holders = holders_map.get(line)
-            if holders is not None and len(holders) > 1:
-                l3d.move_to_end(line)
-            else:
-                del l3d[line]
-                if l3.pinned:
-                    l3.pinned.discard(line)
-                if holders is not None:
-                    holders.discard(l3_holder)
-                    if not holders:
-                        del holders_map[line]
-            result = self._res_l3
         else:
-            # Inlined _nearest_holder (shares the holder-set probe).
-            holders = holders_map.get(line)
-            holder = None
-            if holders:
-                holder_chips = self._holder_chip
-                dist = self._dist[chip]
-                best_d = 1 << 30
-                for h in holders:
-                    d = dist[holder_chips[h]]
-                    if d < best_d:
-                        holder, best_d = h, d
-                        if d == 0:
-                            break
-            if holder is not None:
+            # The L3 bit of the holder mask is set iff this chip's L3
+            # holds the line, so one probe serves every lower level.
+            mask = holders_map.get(line, 0)
+            if mask & l3_bit:
+                # AMD K10's non-inclusive L3: on a hit, keep the L3 copy
+                # when the line is shared (other private holders exist),
+                # so chip-shared data keeps serving at 75 cycles; hand it
+                # over exclusively when this requester is the only
+                # interested party, so single-reader data (CoreTime-
+                # partitioned objects) does not burn capacity twice.
+                counters.l3_hits += 1
+                if mask != l3_bit:
+                    l3d.move_to_end(line)
+                else:
+                    del l3d[line]
+                    if l3.pinned:
+                        l3.pinned.discard(line)
+                    mask = 0
+                result = self._res_l3
+            elif mask:
+                # Inlined _nearest_chip.
+                for holder_chip, chip_mask in self._near[chip]:
+                    if mask & chip_mask:
+                        break
                 counters.remote_hits += 1
-                holder_chip = self._holder_chip[holder]
                 if sequential:
                     # A remote fetch continuing a sequential stream is
                     # prefetch-pipelined like a streamed DRAM read.
@@ -600,17 +566,9 @@ class MemorySystem:
                 counters.dram_loads += 1
                 result = (self.dram.load(line, chip, now, sequential),
                           SRC_DRAM)
+            holders_map[line] = mask | core_bit
         # --- inlined _insert_local over the flattened state ------------
-        if not already_held:
-            holders = holders_map.get(line)
-            if holders is None:
-                holders_map[line] = {core_id}
-            else:
-                holders.add(core_id)
         # L1 insert (MRU); the cascade below only runs on overflow.
-        if line in l1d:
-            l1d.move_to_end(line)
-            return result
         l1d[line] = None
         if len(l1d) <= l1_cap:
             return result
@@ -619,10 +577,7 @@ class MemorySystem:
             victim = l1d.popitem(False)[0]
         else:
             victim = l1._evict()
-        # L2 insert.
-        if victim in l2d:
-            l2d.move_to_end(victim)
-            return result
+        # L2 insert.  Levels are exclusive: the L1 victim is never in L2.
         l2d[victim] = None
         if len(l2d) <= l2_cap:
             return result
@@ -631,22 +586,10 @@ class MemorySystem:
             victim2 = l2d.popitem(False)[0]
         else:
             victim2 = l2._evict()
-        # Leaving the private hierarchy for the chip's shared L3.  One
-        # probe serves both the discard and the add; the mutation history
-        # (set emptied -> entry deleted -> fresh set created) matches the
-        # generic path exactly, keeping holder-set iteration order — and
-        # therefore event streams — byte-identical.
-        holders = holders_map.get(victim2)
-        if holders is not None:
-            holders.discard(core_id)
-            if not holders:
-                del holders_map[victim2]
-                holders = None
-        if holders is None:
-            holders_map[victim2] = {l3_holder}
-        else:
-            holders.add(l3_holder)
-        if victim2 in l3d:
+        # Leaving the private hierarchy for the chip's shared L3.
+        mask = holders_map[victim2]
+        holders_map[victim2] = (mask & ~core_bit) | l3_bit
+        if mask & l3_bit:
             l3d.move_to_end(victim2)
             return result
         l3d[victim2] = None
@@ -658,11 +601,11 @@ class MemorySystem:
         else:
             victim3 = l3._evict()
         # Clean drop: DRAM always has the data.
-        holders = holders_map.get(victim3)
-        if holders is not None:
-            holders.discard(l3_holder)
-            if not holders:
-                del holders_map[victim3]
+        mask = holders_map[victim3] & ~l3_bit
+        if mask:
+            holders_map[victim3] = mask
+        else:
+            del holders_map[victim3]
         bus = self._bus
         if bus is not None and bus.wants(CacheEvicted):
             bus.publish(CacheEvicted(now, core_id, "L3", victim3,
@@ -702,10 +645,9 @@ class MemorySystem:
                 self.directory.discard(line, self.directory.l3_holder(chip))
             self._insert_local(core_id, line, now, already_held=False)
             return lat.l3, SRC_L3
-        holder = self._nearest_holder(line, chip)
-        if holder is not None:
+        holder_chip = self._nearest_chip(line, chip)
+        if holder_chip is not None:
             counters.remote_hits += 1
-            holder_chip = self._holder_chip[holder]
             if sequential:
                 latency = self.interconnect.remote_stream_latency(
                     chip, holder_chip)
@@ -720,22 +662,14 @@ class MemorySystem:
         self._insert_local(core_id, line, now, already_held=False)
         return latency, SRC_DRAM
 
-    def _nearest_holder(self, line: int, from_chip: int) -> Optional[int]:
-        """Closest holder of ``line`` by chip distance, or None."""
-        holders = self._holders.get(line)
-        if not holders:
-            return None
-        holder_chip = self._holder_chip
-        dist = self._dist[from_chip]
-        best = None
-        best_d = 1 << 30
-        for holder in holders:
-            d = dist[holder_chip[holder]]
-            if d < best_d:
-                best, best_d = holder, d
-                if d == 0:
-                    break
-        return best
+    def _nearest_chip(self, line: int, from_chip: int) -> Optional[int]:
+        """Chip of the closest holder of ``line`` (ties to the lowest chip
+        id), or None when no cache holds it."""
+        mask = self._holders.get(line, 0)
+        for chip, chip_mask in self._near[from_chip]:
+            if mask & chip_mask:
+                return chip
+        return None
 
     def _insert_local(self, core_id: int, line: int, now: int,
                       already_held: bool) -> None:

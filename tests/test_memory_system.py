@@ -190,7 +190,7 @@ class TestMaintenance:
         memory.load(0, 0, 0)
         memory.load(1, 0, 0)
         memory.flush_line(0)
-        assert not memory.directory.is_cached(0)
+        assert not memory.directory.holders(0)
         memory.check_invariants()
 
     def test_flush_all(self):

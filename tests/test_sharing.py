@@ -6,18 +6,9 @@ from repro.mem.sharing import SharingDirectory
 class TestHolderIds:
     def test_core_and_l3_ids_distinct(self):
         directory = SharingDirectory(n_cores=4)
-        assert directory.core_holder(0) == 0
         assert directory.l3_holder(0) == 4
         assert directory.is_l3_holder(4)
         assert not directory.is_l3_holder(3)
-
-    def test_chip_of_holder(self):
-        directory = SharingDirectory(n_cores=4)
-        # 2 cores per chip: cores 0,1 on chip 0; l3 holder 4 is chip 0.
-        assert directory.chip_of_holder(0, 2) == 0
-        assert directory.chip_of_holder(3, 2) == 1
-        assert directory.chip_of_holder(4, 2) == 0
-        assert directory.chip_of_holder(5, 2) == 1
 
 
 class TestMembership:
@@ -33,7 +24,7 @@ class TestMembership:
         directory.add(10, 0)
         directory.discard(10, 0)
         assert directory.holders(10) == frozenset()
-        assert not directory.is_cached(10)
+        assert list(directory.cached_lines()) == []
         assert len(directory) == 0
 
     def test_discard_absent_is_noop(self):
@@ -43,19 +34,23 @@ class TestMembership:
         directory.discard(10, 0)
         assert directory.holders(10) == frozenset({1})
 
-    def test_holders_excluding(self):
-        directory = SharingDirectory(4)
-        directory.add(7, 0)
-        directory.add(7, 1)
-        directory.add(7, 2)
-        assert sorted(directory.holders_excluding(7, 1)) == [0, 2]
-        assert directory.holders_excluding(8, 0) == []
+    def test_holders_past_one_byte_of_mask(self):
+        # 16 cores: L3 holders are 16..19, beyond a small int's low bits.
+        directory = SharingDirectory(16)
+        for holder in (0, 7, 15, directory.l3_holder(3)):
+            directory.add(3, holder)
+        assert directory.holders(3) == frozenset({0, 7, 15, 19})
+        assert directory.sharer_count(3) == 4
+        assert dict(directory.items()) == {3: frozenset({0, 7, 15, 19})}
 
-    def test_any_holder(self):
+    def test_quiescent_for(self):
         directory = SharingDirectory(4)
-        assert directory.any_holder(5) is None
-        directory.add(5, 3)
-        assert directory.any_holder(5) == 3
+        assert directory.quiescent_for(9, 1)
+        directory.add(9, 1)
+        assert directory.quiescent_for(9, 1)
+        assert not directory.quiescent_for(9, 0)
+        directory.add(9, 4)
+        assert not directory.quiescent_for(9, 1)
 
     def test_cached_lines(self):
         directory = SharingDirectory(4)
