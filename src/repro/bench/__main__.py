@@ -178,10 +178,6 @@ def main(argv=None) -> int:
     perf_group.add_argument("--kernels", default=None,
                             help="comma-separated workload-kernel subset "
                                  "(default: all)")
-    perf_group.add_argument("--engine-kernels", default=None,
-                            help="comma-separated engine-kernel subset, "
-                                 "e.g. 'batched' (default: generic and "
-                                 "batched)")
     perf_group.add_argument("--out", metavar="PATH", default=None,
                             help="write the perf report JSON to PATH")
     perf_group.add_argument("--baseline", metavar="PATH", default=None,

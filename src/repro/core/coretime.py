@@ -211,16 +211,6 @@ class CoreTimeScheduler(SchedulerRuntime):
             return thread.home_core
         return None
 
-    def next_boundary(self, now: int) -> Optional[int]:
-        """Next monitoring-window / rebalance-epoch boundary.
-
-        Used by the batched engine kernel to cap macro-step horizons.
-        Monitoring itself fires synchronously inside ``on_ct_end``, so
-        this is a conservative bound, never a correctness requirement.
-        """
-        return self.rebalancer.next_epoch(self._last_monitor,
-                                          self.config.monitor_interval)
-
     # ------------------------------------------------------------------
     # assignment machinery
     # ------------------------------------------------------------------

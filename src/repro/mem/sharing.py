@@ -67,16 +67,6 @@ class SharingDirectory:
         """Immutable view of the holders of ``line`` (empty if uncached)."""
         return holder_ids(self._holders.get(line, 0))
 
-    def quiescent_for(self, line: int, holder: int) -> bool:
-        """True when touching ``line`` from ``holder`` cannot generate
-        coherence traffic: the line is uncached, or ``holder`` is its sole
-        holder.  The batched engine kernel uses this to decide whether a
-        store can skip the invalidation sweep entirely (no remote copy
-        exists to invalidate), keeping a quiescent core's run of events
-        free of cross-core interaction."""
-        mask = self._holders.get(line, 0)
-        return not mask or mask == 1 << holder
-
     def sharer_count(self, line: int) -> int:
         return self._holders.get(line, 0).bit_count()
 

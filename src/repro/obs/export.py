@@ -22,6 +22,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import os
 from itertools import islice
 from typing import (Any, BinaryIO, Dict, Iterable, List, Optional, Sequence,
                     TextIO)
@@ -268,10 +269,25 @@ def write_jsonl(path: str, events: Iterable[Event]) -> str:
 
     Streams ``events`` (a generator of any length is fine) through a
     :class:`JsonlWriter`; the uncompressed bytes are ``events_to_jsonl``
-    plus a trailing newline.
+    plus a trailing newline.  The recording is written to a sibling
+    temporary file and renamed over ``path`` only once complete, so a
+    failure partway through (an event that cannot be encoded) leaves no
+    well-formed but truncated recording behind.
     """
-    with JsonlWriter(path) as writer:
-        writer.write(events)
+    head, tail = os.path.split(str(path))
+    # Keep the .gz suffix: JsonlWriter picks gzip from the file name.
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp"
+                       + (".gz" if tail.endswith(".gz") else ""))
+    try:
+        with JsonlWriter(tmp) as writer:
+            writer.write(events)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
     return path
 
 

@@ -90,19 +90,6 @@ class SchedulerRuntime(abc.ABC):
         thread must already be removed from wherever it was queued."""
         return None
 
-    def next_boundary(self, now: int) -> Optional[int]:
-        """Next cycle at which this scheduler acts on its own clock (a
-        monitoring window, a rebalance epoch), or None when it only acts
-        synchronously inside engine callbacks.
-
-        The batched engine kernel caps a quiescent core's macro-step
-        horizon here, so a batch never runs past an epoch boundary.  The
-        cap is conservative — shortening a batch never changes behaviour,
-        it only splits the run into more pieces — so returning None is
-        always safe for schedulers without timed behaviour.
-        """
-        return None
-
     def on_thread_done(self, thread: "SimThread", core: "Core",
                        now: int) -> None:
         """Notification that a thread's program finished."""

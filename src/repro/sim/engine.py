@@ -39,7 +39,6 @@ from repro.obs import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                        OperationFinished, OperationStarted, ThreadArrived,
                        ThreadFinished, ThreadSpawned)
 from repro.sched.base import SchedulerRuntime
-from repro.sim.batch import run_batched
 from repro.sim.trace import Tracer, subscribe_tracer
 from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
                                    OpDone, Release, Scan, Store, YieldCore)
@@ -47,27 +46,6 @@ from repro.threads.thread import Program, SimThread, ThreadState
 
 _KIND_STEP = 0
 _KIND_ARRIVAL = 1
-
-#: Selectable run-loop implementations.  ``generic`` is the tuple-heap
-#: event loop below — the oracle every other kernel is differentially
-#: verified against; ``batched`` is :func:`repro.sim.batch.run_batched`,
-#: which macro-steps quiescent cores on an array-backed indexed heap and
-#: produces byte-identical event streams and counters.
-KERNELS = ("generic", "batched")
-
-_default_kernel = "generic"
-
-
-def set_default_kernel(name: str) -> None:
-    """Set the kernel used by subsequently constructed simulators that
-    don't pass ``kernel=`` explicitly (mirrors ``set_default_checker``:
-    benchmark CLIs flip this once instead of threading a parameter
-    through every figure runner)."""
-    global _default_kernel
-    if name not in KERNELS:
-        raise SimulationError(
-            f"unknown kernel {name!r} (choose from {', '.join(KERNELS)})")
-    _default_kernel = name
 
 # Factory consulted when a Simulator is built without an explicit
 # ``checker`` — lets ``repro.bench --verify`` turn invariant checking on
@@ -133,19 +111,7 @@ class Simulator:
                  tracer: Optional[Tracer] = None,
                  obs: Optional[Observability] = None,
                  checker: Optional[Any] = None,
-                 faults: Optional[Any] = None,
-                 kernel: Optional[str] = None) -> None:
-        if kernel is None:
-            kernel = _default_kernel
-        elif kernel not in KERNELS:
-            raise SimulationError(
-                f"unknown kernel {kernel!r} "
-                f"(choose from {', '.join(KERNELS)})")
-        #: Run-loop implementation: "generic" or "batched".  The batched
-        #: kernel silently defers to the generic loop while a checker or
-        #: fault plan is attached — both are defined to run between
-        #: events and to introspect the tuple heap (see DESIGN.md §13).
-        self.kernel = kernel
+                 faults: Optional[Any] = None) -> None:
         self.machine = machine
         self.memory = machine.memory
         # Bound-method handles for the per-item handlers (one attribute
@@ -231,6 +197,18 @@ class Simulator:
             checker = _default_checker_factory()
         self.checker = checker
         self.faults = faults
+        # Spin-run collapse (DESIGN.md §8): the flattened per-core L1
+        # dicts on the fast memory path, or None where the collapse is
+        # off — the generic cache path, and under a fault plan, whose
+        # injection points are event indices.
+        memory = machine.memory
+        self._spin_l1ds = (memory._l1ds if memory._fast and faults is None
+                           else None)
+        self._line_size = memory.line_size
+        self._lat_l1 = memory._lat_l1
+        # Run limits of the current run() call, read by the collapse.
+        self._until: Optional[int] = None
+        self._steps_left = -1
         if faults is not None:
             faults.bind(self)
         if checker is not None:
@@ -300,9 +278,6 @@ class Simulator:
         if until is None and max_ops is None and max_steps is None:
             raise SimulationError("run() needs a stopping condition")
         try:
-            if self.kernel == "batched" and self.checker is None \
-                    and self.faults is None:
-                return run_batched(self, until, max_ops, max_steps)
             return self._run(until, max_ops, max_steps)
         except SimulationError as exc:
             if self.obs is not None:
@@ -319,12 +294,15 @@ class Simulator:
         checker = self.checker
         faults = self.faults
         ops_target = (self.total_ops + max_ops) if max_ops else None
-        steps_left = max_steps if max_steps is not None else -1
+        # Events left under max_steps (negative: unbounded).  An attribute
+        # rather than a local because a collapsed spin run spends k of it.
+        self._until = until
+        self._steps_left = max_steps if max_steps is not None else -1
         self._ops_at_run_start = self.total_ops
         while heap:
             if ops_target is not None and self.total_ops >= ops_target:
                 break
-            if steps_left == 0:
+            if self._steps_left == 0:
                 break
             entry = heappop(heap)
             time, _, kind, payload = entry
@@ -355,7 +333,7 @@ class Simulator:
                 bus = self._bus
                 if bus is not None and bus.wants(ThreadArrived):
                     bus.publish(ThreadArrived(time, core_id, thread.name))
-            steps_left -= 1
+            self._steps_left -= 1
             # Verification hooks run *after* the event: faults first (so
             # an injected bug is live state), then the checker that must
             # catch it.
@@ -529,12 +507,16 @@ class Simulator:
     def _do_acquire(self, core: Core, thread: SimThread, item: Any) -> None:
         lock = item.lock
         counters = core.counters
+        l1_hit = False
         if lock.try_acquire(thread):
             latency = self._mem_store(core.core_id, lock.addr, core.time)
             counters.lock_acquires += 1
             thread.spinning = False
             thread.pending = None
         else:
+            l1ds = self._spin_l1ds
+            l1_hit = (l1ds is not None and lock.addr // self._line_size
+                      in l1ds[core.core_id])
             latency = (self._mem_load(core.core_id, lock.addr, core.time)
                        + self._spec.spin_backoff)
             counters.lock_spins += 1
@@ -552,6 +534,54 @@ class Simulator:
             # pending stays set: the acquire retries next step.
         counters.busy_cycles += latency
         core.time += latency
+        if l1_hit:
+            self._collapse_spins(core, thread, lock, latency)
+
+    def _collapse_spins(self, core: Core, thread: SimThread, lock: Any,
+                        latency: int) -> None:
+        """Apply in O(1) the identical L1-hit spins the run loop would
+        pop next, before any other event (DESIGN.md §8).
+
+        The core is re-armed at its clock ``t`` with the newest sequence
+        number, so its next spin is the next event iff ``t`` is strictly
+        below the heap top; until then no other core acts, the lock stays
+        held and the line stays in L1, so every spin costs ``latency``
+        and touches only counters.  Spin ``i`` (from 0) runs at
+        ``t + i * latency`` while that is below the heap top and not past
+        ``until``, and only while the ``max_steps`` budget lasts.
+        """
+        t = core.time
+        heap = self._heap
+        if heap:
+            gap = heap[0][0] - t
+            k = (gap + latency - 1) // latency if gap > 0 else 0
+        else:
+            k = -1  # no horizon from the heap
+        until = self._until
+        if until is not None:
+            gap = until - t
+            k_until = gap // latency + 1 if gap >= 0 else 0
+            if k < 0 or k_until < k:
+                k = k_until
+        budget = self._steps_left - 1  # after this event's own step
+        if budget >= 0 and (k < 0 or budget < k):
+            k = budget
+        if k <= 0:
+            return
+        lock.spin_attempts += k
+        counters = core.counters
+        counters.lock_spins += k
+        counters.l1_hits += k
+        counters.mem_cycles += k * self._lat_l1
+        spun = k * latency
+        thread.spin_cycles += spun
+        counters.busy_cycles += spun
+        core.time = t + spun
+        core.steps += k
+        self.total_steps += k
+        self._steps_left -= k
+        if self._c_lock_spins is not None:
+            self._c_lock_spins.inc(k)
 
     def _do_release(self, core: Core, thread: SimThread, item: Any) -> None:
         item.lock.release(thread)

@@ -129,28 +129,16 @@ def _workload_factory(kind: str):
 
 
 def execute_case(case: SweepCase, obs=None):
-    """Run one case and return its :class:`BenchPoint` (raises on error).
-
-    The case's engine kernel is installed as the construction-time
-    default for the duration of the run — ``run_point`` builds its own
-    simulators, so the default is the only seam that reaches them (the
-    same pattern ``--verify`` uses for the invariant checker).
-    """
+    """Run one case and return its :class:`BenchPoint` (raises on error)."""
     from repro.bench.harness import run_point
-    from repro.sim import engine
-    previous_kernel = engine._default_kernel
-    engine.set_default_kernel(case.kernel)
-    try:
-        return run_point(
-            case.machine, _scheduler_factory(case.scheduler),
-            case.workload,
-            warmup_cycles=case.warmup_cycles,
-            measure_cycles=case.measure_cycles,
-            x=case.x,
-            workload_factory=_workload_factory(case.workload_kind),
-            seed=case.seed, obs=obs)
-    finally:
-        engine.set_default_kernel(previous_kernel)
+    return run_point(
+        case.machine, _scheduler_factory(case.scheduler),
+        case.workload,
+        warmup_cycles=case.warmup_cycles,
+        measure_cycles=case.measure_cycles,
+        x=case.x,
+        workload_factory=_workload_factory(case.workload_kind),
+        seed=case.seed, obs=obs)
 
 
 def execute_case_record(case: SweepCase, fingerprint: str,

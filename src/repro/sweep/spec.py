@@ -116,13 +116,9 @@ class SweepCase:
     measure_cycles: int = 1_500_000
     #: Sweep coordinate for reports (defaults to the workload's data KB).
     x: Optional[float] = None
-    #: Engine run loop (:data:`repro.sim.engine.KERNELS`).  Both kernels
-    #: publish identical event streams, so this axis never changes what a
-    #: cell measures — only how fast the simulator computes it.
-    kernel: str = "generic"
 
     def as_dict(self) -> dict:
-        data = {
+        return {
             "machine_label": self.machine_label,
             "machine": machine_to_dict(self.machine),
             "scheduler": self.scheduler,
@@ -136,14 +132,10 @@ class SweepCase:
             "measure_cycles": self.measure_cycles,
             "x": self.x,
         }
-        # Omitted when generic so every pre-existing cache key (and any
-        # store written before the kernel axis existed) stays valid.
-        if self.kernel != "generic":
-            data["kernel"] = self.kernel
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepCase":
+        _reject_kernel_field(data, "sweep case")
         fields = dict(data)
         fields["machine"] = machine_from_dict(fields["machine"])
         fields["workload"] = workload_from_dict(fields["workload_kind"],
@@ -198,18 +190,11 @@ class SweepSpec:
     warmup_cycles: int = 1_500_000
     measure_cycles: int = 1_500_000
     filters: Tuple[Dict[str, str], ...] = ()
-    #: Engine run loop for every cell ("generic" or "batched").
-    kernel: str = "generic"
 
     def validate(self) -> None:
         if not self.machines or not self.schedulers or not self.workloads:
             raise ConfigError("sweep needs at least one machine, "
                               "scheduler and workload")
-        from repro.sim.engine import KERNELS as ENGINE_KERNELS
-        if self.kernel not in ENGINE_KERNELS:
-            raise ConfigError(
-                f"unknown engine kernel {self.kernel!r}; "
-                f"choose from {', '.join(ENGINE_KERNELS)}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if self.warmup_cycles < 0 or self.measure_cycles <= 0:
@@ -275,8 +260,7 @@ class SweepSpec:
                             seed=seed,
                             warmup_cycles=self.warmup_cycles,
                             measure_cycles=self.measure_cycles,
-                            x=workload.x,
-                            kernel=self.kernel))
+                            x=workload.x))
         return cases
 
     # ------------------------------------------------------------------
@@ -284,7 +268,7 @@ class SweepSpec:
     # ------------------------------------------------------------------
 
     def as_dict(self) -> dict:
-        data = {
+        return {
             "name": self.name,
             "machines": [{"label": m.label,
                           "spec": machine_to_dict(m.spec)}
@@ -300,15 +284,13 @@ class SweepSpec:
             "measure_cycles": self.measure_cycles,
             "filters": [dict(rule) for rule in self.filters],
         }
-        if self.kernel != "generic":
-            data["kernel"] = self.kernel
-        return data
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
+        _reject_kernel_field(data, "sweep spec")
         spec = cls(
             name=data["name"],
             machines=tuple(
@@ -325,7 +307,6 @@ class SweepSpec:
             warmup_cycles=data.get("warmup_cycles", 1_500_000),
             measure_cycles=data.get("measure_cycles", 1_500_000),
             filters=tuple(data.get("filters", ())),
-            kernel=data.get("kernel", "generic"),
         )
         spec.validate()
         return spec
@@ -333,6 +314,17 @@ class SweepSpec:
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
         return cls.from_dict(json.loads(text))
+
+
+def _reject_kernel_field(data: dict, what: str) -> None:
+    """Refuse a stored spec or case from before the engine had one run
+    loop: a ``kernel`` field would otherwise be dropped silently and the
+    cell run under a key that named another loop."""
+    if "kernel" in data:
+        raise ConfigError(
+            f"{what} names engine kernel {data['kernel']!r}; the kernel "
+            f"axis was removed (the engine has one run loop) — drop the "
+            f"'kernel' field to run it")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Subcommands::
 
     python -m repro.verify fuzz --seeds 25
         Generate and check 25 random cases (invariants on, same-seed
-        determinism, three-way differential: generic memory path vs
-        fast path vs batched engine kernel).  On failure, shrink to a
+        determinism, fast vs generic differential: the generic memory
+        path spins one event at a time, the fast path collapses
+        L1-resident spin runs).  On failure, shrink to a
         minimal case and print a one-command repro; exit 1.
 
     python -m repro.verify fuzz --seeds 5 --inject evict_line

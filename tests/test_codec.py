@@ -97,6 +97,24 @@ class TestEncode:
         with gzip.open(path, "rt", encoding="utf-8") as handle:
             assert handle.read() == events_to_jsonl(sample) + "\n"
 
+    @pytest.mark.parametrize("name", ["r.jsonl", "r.jsonl.gz"])
+    def test_failed_write_leaves_no_truncated_recording(self, tmp_path,
+                                                       name):
+        # More than one 4096-event chunk is written before the bad item.
+        events = [ThreadSpawned(i, 0, f"t{i}") for i in range(5000)]
+        path = tmp_path / name
+        with pytest.raises(AttributeError):
+            write_jsonl(str(path), events + [object()])
+        assert list(tmp_path.iterdir()) == []
+        # An existing recording survives a failed rewrite untouched.
+        write_jsonl(str(path), events[:3])
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_jsonl(str(path), events + [object()])
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(iter_jsonl(str(path))) == events[:3]
+
     def test_shard_recorder_appends_the_same_bytes(self, tmp_path):
         a = [ThreadSpawned(1, 0, "t0")]
         b = [OperationFinished(9, 0, "t0", "o", 8)]

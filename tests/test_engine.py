@@ -4,12 +4,17 @@ import pytest
 
 from repro.cpu.machine import Machine
 from repro.errors import SimulationError
+from repro.obs import Observability
+from repro.obs.export import events_to_jsonl
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
 from repro.sim.trace import RecordingTracer
 from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
                                    OpDone, Release, Scan, Store, YieldCore)
 from repro.threads.sync import SpinLock
+from repro.verify import InvariantChecker
+from repro.verify.fuzz import _generic_cache_factory
+from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
 from tests.helpers import tiny_spec
 
@@ -374,3 +379,155 @@ class TestRunResult:
         assert result.throughput_ops_per_sec > 0
         assert result.kops_per_sec == result.throughput_ops_per_sec / 1e3
         assert "RunResult" in str(result)
+
+
+# ---------------------------------------------------------------------------
+# spin-run collapse: the fast memory path applies a run of L1-hit spins in
+# O(1); the generic cache path has no flattened L1 and spins one event per
+# retry, so it is the oracle every collapsed run is compared against.
+# ---------------------------------------------------------------------------
+
+class _EventCounter:
+    """Duck-typed checker that counts the events the run loop pops."""
+
+    def __init__(self):
+        self.events = 0
+
+    def bind(self, sim):
+        pass
+
+    def after_event(self, time):
+        self.events += 1
+
+
+def _machine(generic):
+    if generic:
+        return Machine(tiny_spec(), cache_factory=_generic_cache_factory)
+    return Machine(tiny_spec())
+
+
+def _lock_pair(generic):
+    """Two cores contending for one lock held for long critical sections,
+    so the waiter spins with its lock line in L1 most of the time."""
+    machine = _machine(generic)
+    sim = Simulator(machine, ThreadScheduler(), obs=Observability(),
+                    checker=_EventCounter())
+    lock = SpinLock.allocate(machine.address_space, "l")
+
+    def program():
+        # Finite, so a collapse that overshoots max_steps ends the run
+        # early instead of spinning forever.
+        for _ in range(60):
+            yield Acquire(lock)
+            yield Compute(2_000)
+            yield Release(lock)
+            yield Compute(300)
+            yield OpDone()
+
+    for core_id in (0, 1):
+        sim.spawn(program(), f"t{core_id}", core_id=core_id)
+    return sim, lock
+
+
+def _dirlookup(generic, checker=None):
+    machine = _machine(generic)
+    sim = Simulator(machine, ThreadScheduler(), obs=Observability(),
+                    checker=checker)
+    spec = DirWorkloadSpec(n_dirs=6, files_per_dir=32, cluster_bytes=512,
+                           think_cycles=10, threads_per_core=2, seed=7)
+    DirectoryLookupWorkload(machine, spec).spawn_all(sim)
+    return sim
+
+
+def _assert_same_state(sim_a, res_a, sim_b, res_b):
+    assert events_to_jsonl(sim_a.obs.events()) \
+        == events_to_jsonl(sim_b.obs.events())
+    for field in ("ops", "steps", "horizon_cycles", "migrations",
+                  "dram_lines", "dram_queued_cycles",
+                  "cross_chip_messages", "counters", "metrics"):
+        assert getattr(res_a, field) == getattr(res_b, field), field
+    assert sim_a.total_steps == sim_b.total_steps
+    for core_a, core_b in zip(sim_a.machine.cores, sim_b.machine.cores):
+        assert core_a.time == core_b.time
+        assert core_a.steps == core_b.steps
+        assert (core_a.counters.snapshot().values
+                == core_b.counters.snapshot().values)
+    for thread_a, thread_b in zip(sim_a.threads, sim_b.threads):
+        assert thread_a.spin_cycles == thread_b.spin_cycles
+        assert thread_a.spinning == thread_b.spinning
+
+
+class TestSpinRunCollapse:
+    def test_contended_lock_matches_per_event_run(self):
+        (fast, fast_lock), (slow, slow_lock) = _lock_pair(False), \
+            _lock_pair(True)
+        result = fast.run(until=200_000)
+        _assert_same_state(fast, result, slow, slow.run(until=200_000))
+        assert fast_lock.spin_attempts == slow_lock.spin_attempts > 1000
+        assert result.metrics["sim.lock_spins"] \
+            == result.counters["lock_spins"] == fast_lock.spin_attempts
+        # The collapse fired: fewer events for the same steps.
+        assert fast.checker.events < slow.checker.events
+        assert fast.checker.events < fast.total_steps
+
+    @pytest.mark.parametrize("cut", [50_011, 101_333, 150_007])
+    def test_split_until_matches_straight_run(self, cut):
+        fast, _ = _lock_pair(False)
+        fast.run(until=cut)
+        # The cut lands inside a spin run: a waiter is mid-acquire.
+        assert any(t.spinning for t in fast.threads)
+        slow, _ = _lock_pair(True)
+        _assert_same_state(fast, fast.run(until=200_000),
+                           slow, slow.run(until=200_000))
+
+    @pytest.mark.parametrize("max_steps", [7, 333, 2_501])
+    def test_max_steps_stop_matches_per_event_run(self, max_steps):
+        fast, _ = _lock_pair(False)
+        slow, _ = _lock_pair(True)
+        _assert_same_state(fast, fast.run(max_steps=max_steps),
+                           slow, slow.run(max_steps=max_steps))
+        assert slow.checker.events == max_steps
+        assert any(t.spinning for t in slow.threads)
+
+    def test_dirlookup_matches_per_event_run(self):
+        fast, slow = _dirlookup(False), _dirlookup(True)
+        _assert_same_state(fast, fast.run(until=150_000),
+                           slow, slow.run(until=150_000))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_steps": 500},
+        {"max_ops": 40, "until": None},
+        {"until": 60_000, "max_steps": 3000},
+    ])
+    def test_collapse_honours_run_limits(self, kwargs):
+        kwargs = dict({"until": 150_000}, **kwargs)
+        fast, slow = _dirlookup(False), _dirlookup(True)
+        _assert_same_state(fast, fast.run(**kwargs), slow, slow.run(**kwargs))
+
+    def test_split_run_matches_straight_run(self):
+        fast, slow = _dirlookup(False), _dirlookup(True)
+        fast.run(until=75_000)
+        _assert_same_state(fast, fast.run(until=150_000),
+                           slow, slow.run(until=150_000))
+
+    def test_collapse_stays_on_under_checker(self):
+        checker = InvariantChecker(interval=64)
+        fast, slow = _dirlookup(False, checker=checker), _dirlookup(True)
+        _assert_same_state(fast, fast.run(until=150_000),
+                           slow, slow.run(until=150_000))
+        assert fast._spin_l1ds is not None
+        assert checker.checks > 0 and checker.violations == 0
+
+    def test_run_drains_heap_on_completion(self):
+        def finite(n):
+            for _ in range(n):
+                yield Compute(25)
+                yield OpDone()
+
+        sim = make_sim()
+        for core_id in range(sim.machine.n_cores):
+            sim.spawn(finite(3 + core_id), f"t{core_id}", core_id=core_id)
+        result = sim.run(until=1_000_000)
+        assert sim._heap == []
+        assert all(thread.done for thread in sim.threads)
+        assert result.ops == sum(3 + c for c in range(sim.machine.n_cores))

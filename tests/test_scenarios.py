@@ -2,9 +2,9 @@
 
 The conformance half parametrizes over every registry entry so a newly
 registered scenario is covered the moment it exists: same-seed
-determinism, byte-identical generic/fast/batched event streams, and a
-clean invariant-checker run all come from the fuzzer's
-:func:`check_case` (the same three-way differential CI fuzz runs).
+determinism, byte-identical fast/generic event streams, and a clean
+invariant-checker run all come from the fuzzer's :func:`check_case`
+(the same fast vs generic differential CI fuzz runs).
 The ``phase_shift`` pin proves the scenario does what its name claims:
 the rebalancer observes the migrating hot set and moves objects.
 """
@@ -128,8 +128,8 @@ class TestScenarioConformance:
 
     def test_kernels_reruns_and_invariants(self, name):
         # check_case = invariant checker + same-seed determinism + the
-        # three-way generic/fast/batched kernel differential, with the
-        # scenario workload swapped in for the raw knobs.
+        # fast vs generic differential, with the scenario workload
+        # swapped in for the raw knobs.
         case = generate_case(77).replace(
             scheduler="coretime", scenario=name, horizon=40_000)
         failure = check_case(case)

@@ -2,16 +2,16 @@
 
 Parametrized over :func:`repro.sched.registry.names` so a newly
 registered policy is tested the moment it exists, with no edits here.
-The contract (DESIGN.md §14):
+The contract (DESIGN.md §13):
 
 * every spawned thread runs to completion on finite programs — no
   thread is lost across placements, preemptions, or migrations;
 * ``place_thread`` only ever returns a core the machine has, including
   through the engine's unpinned :meth:`Simulator.spawn` path;
-* same-seed reruns are byte-identical, and the generic and batched
-  engine kernels produce identical event streams and memory counters
+* same-seed reruns are byte-identical, and the fast and generic memory
+  paths produce identical event streams and memory counters
   (delegated to the fuzzer's :func:`check_case`, which runs the
-  three-way differential plus the invariant checker);
+  fast vs generic differential plus the invariant checker);
 * ``describe()`` and ``stats()`` are report-ready (non-empty string,
   JSON-serializable dict with no run-relative identifiers).
 """
@@ -114,8 +114,9 @@ class TestSchedulerConformance:
             assert 0 <= core_id < machine.n_cores
 
     def test_kernels_and_reruns_are_byte_identical(self, name):
-        # check_case = invariants + same-seed determinism + the
-        # three-way fast/generic/batched differential.  scenario="" pins
+        # check_case = invariants + same-seed determinism + the fast vs
+        # generic differential (the fast path collapses L1-resident spin
+        # runs, the generic path spins per event).  scenario="" pins
         # the raw workload knobs (threads_per_core=2 keeps run queues
         # non-empty); scenario coverage lives in test_scenarios.py.
         case = generate_case(901).replace(

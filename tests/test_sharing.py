@@ -43,15 +43,6 @@ class TestMembership:
         assert directory.sharer_count(3) == 4
         assert dict(directory.items()) == {3: frozenset({0, 7, 15, 19})}
 
-    def test_quiescent_for(self):
-        directory = SharingDirectory(4)
-        assert directory.quiescent_for(9, 1)
-        directory.add(9, 1)
-        assert directory.quiescent_for(9, 1)
-        assert not directory.quiescent_for(9, 0)
-        directory.add(9, 4)
-        assert not directory.quiescent_for(9, 1)
-
     def test_cached_lines(self):
         directory = SharingDirectory(4)
         directory.add(1, 0)

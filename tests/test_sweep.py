@@ -158,6 +158,29 @@ class TestSweepCase:
             keys.add(dataclasses.replace(case, **changes).key())
         assert len(keys) == 5
 
+    def test_keys_pinned_across_kernel_axis_removal(self):
+        # Recorded before the engine-kernel axis was removed: generic
+        # cells never carried the field, so their keys (and every store
+        # keyed by them) stay valid.
+        import hashlib
+        from repro.sweep.presets import PRESETS
+        keys = [case.key() for case in tiny_sweep().expand()]
+        assert keys[0] == "86ca806ed9220491b2bd112a2bb3e096980f51ee"
+        assert keys[-1] == "b3e9dfee698539318f08a478aa18262e76d23f9a"
+        smoke = "".join(case.key() for case in PRESETS["smoke"]().expand())
+        assert hashlib.sha256(smoke.encode()).hexdigest()[:16] \
+            == "d0d1bc49287aa5fb"
+
+    @pytest.mark.parametrize("kernel", ["batched", "generic"])
+    def test_stored_kernel_field_is_rejected(self, kernel):
+        spec = tiny_sweep()
+        case_data = dict(spec.expand()[0].as_dict(), kernel=kernel)
+        with pytest.raises(ConfigError, match="kernel axis was removed"):
+            SweepCase.from_dict(case_data)
+        spec_data = dict(spec.as_dict(), kernel=kernel)
+        with pytest.raises(ConfigError, match="kernel axis was removed"):
+            SweepSpec.from_dict(spec_data)
+
     def test_machine_spec_survives_round_trip(self):
         spec = MachineSpec.scaled(8)
         case = SweepCase(machine_label="m", machine=spec,

@@ -50,30 +50,6 @@ class TestConfigValidation:
             MLFQScheduler(decay_interval=0)
 
 
-class TestNextBoundary:
-    @pytest.mark.parametrize("scheduler", [
-        RoundRobinScheduler(quantum=100),
-        CFSScheduler(granularity=100),
-        ShortestJobFirstScheduler(quantum=100),
-        MLFQScheduler(quantum=100, decay_interval=50_000),
-    ])
-    def test_quantum_grid_and_strict_progress(self, scheduler):
-        assert scheduler.next_boundary(0) == 100
-        assert scheduler.next_boundary(250) == 300
-        # Strictly ahead of now even on the grid: a zero-length batched
-        # macro-step would wedge the batched kernel.
-        assert scheduler.next_boundary(300) == 400
-        # Pure: the batched kernel calls it at times the generic loop
-        # never does, so repeated calls must not drift state.
-        assert scheduler.next_boundary(250) == 300
-
-    def test_mlfq_caps_at_decay_epoch_too(self):
-        scheduler = MLFQScheduler(quantum=30_000, decay_interval=50_000)
-        assert scheduler.next_boundary(0) == 30_000
-        # Between quantum grid points the epoch boundary is nearer.
-        assert scheduler.next_boundary(45_000) == 50_000
-
-
 class TestPreemptionMechanics:
     def setup_pair(self, scheduler):
         machine = Machine(tiny_spec())
