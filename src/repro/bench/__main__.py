@@ -8,8 +8,7 @@ Observability: ``--trace-out run.trace.json`` captures every simulator in
 the experiment into one Chrome trace (load it at https://ui.perfetto.dev),
 ``--events-out run.events.jsonl`` dumps the raw event stream for
 ``repro-analyze`` (a ``.jsonl.gz`` path gzips it on the way out; the
-analyzer reads either transparently, and ``repro-analyze report
---stream`` handles recordings of any size in constant memory),
+analyzer reads either transparently, in constant memory),
 ``--metrics-out metrics.json`` dumps the
 metrics-registry snapshot, ``--profile-out NAME`` writes the offline
 attribution report next to the figure reports, and ``--seed N`` overrides
@@ -66,6 +65,40 @@ def _derived_path(path: str, name: str, many: bool) -> str:
     return f"{stem}.{name}.{suffix}"
 
 
+def _export(obs: Observability, args, name: str, tag: str,
+            many: bool) -> None:
+    """Write one experiment's --*-out files; ``tag`` prefixes the log.
+
+    Warns on stderr when the event log hit its bound, because every
+    exported stream and the profile then cover only its first events.
+    """
+    if obs.log is not None and obs.log.dropped:
+        print(f"[{tag}] warning: event log full: {obs.log.dropped:,} "
+              f"events past its cap of {obs.log.max_events:,} were "
+              "dropped, so the exports below are truncated",
+              file=sys.stderr)
+    if args.trace_out is not None:
+        out = _derived_path(args.trace_out, name, many)
+        obs.write_chrome_trace(out)
+        print(f"[{tag}] trace -> {out}")
+    if args.events_out is not None:
+        out = _derived_path(args.events_out, name, many)
+        obs.write_jsonl(out)
+        print(f"[{tag}] events -> {out}")
+    if args.profile_out is not None:
+        profile_name = (f"{args.profile_out}.{name}" if many
+                        else args.profile_out)
+        out = save_report(profile_name, obs.profile_report())
+        print(f"[{tag}] profile -> {out}")
+    if args.metrics_out is not None:
+        out = _derived_path(args.metrics_out, name, many)
+        with open(out, "w", encoding="utf-8") as stream:
+            json.dump(obs.metrics_snapshot(), stream, indent=2,
+                      sort_keys=True)
+            stream.write("\n")
+        print(f"[{tag}] metrics -> {out}")
+
+
 def _run_scenarios(args) -> int:
     """The 'scenario' experiment: one or every registered scenario."""
     from repro.bench.figures import run_scenario
@@ -98,26 +131,7 @@ def _run_scenarios(args) -> int:
             print()
         print(f"[{result.name}] {elapsed:.1f}s -> {path}")
         if obs is not None:
-            if args.trace_out is not None:
-                out = _derived_path(args.trace_out, name, many)
-                obs.write_chrome_trace(out)
-                print(f"[{result.name}] trace -> {out}")
-            if args.events_out is not None:
-                out = _derived_path(args.events_out, name, many)
-                obs.write_jsonl(out)
-                print(f"[{result.name}] events -> {out}")
-            if args.profile_out is not None:
-                profile_name = (f"{args.profile_out}.{name}" if many
-                                else args.profile_out)
-                out = save_report(profile_name, obs.profile_report())
-                print(f"[{result.name}] profile -> {out}")
-            if args.metrics_out is not None:
-                out = _derived_path(args.metrics_out, name, many)
-                with open(out, "w", encoding="utf-8") as stream:
-                    json.dump(obs.metrics_snapshot(), stream, indent=2,
-                              sort_keys=True)
-                    stream.write("\n")
-                print(f"[{result.name}] metrics -> {out}")
+            _export(obs, args, name, result.name, many)
     return 0
 
 
@@ -251,26 +265,7 @@ def main(argv=None) -> int:
             print()
         print(f"[{name}] {elapsed:.1f}s -> {path}")
         if obs is not None:
-            if args.trace_out is not None:
-                out = _derived_path(args.trace_out, name, many)
-                obs.write_chrome_trace(out)
-                print(f"[{name}] trace -> {out}")
-            if args.events_out is not None:
-                out = _derived_path(args.events_out, name, many)
-                obs.write_jsonl(out)
-                print(f"[{name}] events -> {out}")
-            if args.profile_out is not None:
-                profile_name = (f"{args.profile_out}.{name}" if many
-                                else args.profile_out)
-                out = save_report(profile_name, obs.profile_report())
-                print(f"[{name}] profile -> {out}")
-            if args.metrics_out is not None:
-                out = _derived_path(args.metrics_out, name, many)
-                with open(out, "w", encoding="utf-8") as stream:
-                    json.dump(obs.metrics_snapshot(), stream, indent=2,
-                              sort_keys=True)
-                    stream.write("\n")
-                print(f"[{name}] metrics -> {out}")
+            _export(obs, args, name, name, many)
     return 0
 
 

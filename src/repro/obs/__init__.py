@@ -66,8 +66,9 @@ class Observability:
                         (0 disables it);
     ``capture_memory``  also record per-eviction / per-invalidation
                         events (hot; off by default);
-    ``max_events``      event-log bound — exporters report what was
-                        dropped rather than growing without limit;
+    ``max_events``      event-log bound: events past it are counted in
+                        ``log.dropped`` instead of recorded, so every
+                        exporter sees only the first ``max_events``;
     ``flight_path``     where :meth:`on_crash` writes the post-mortem
                         dump (default: stderr).
     """
@@ -161,8 +162,9 @@ class Observability:
         pipeline; one section per recorded run.  Imports the analyzer
         lazily — the profiling layer stays off the simulation path.
         """
-        from repro.obs.profile import render_stream_report
-        return render_stream_report(self.events(), top=top, width=width)
+        from repro.obs.stream import Profile
+        return Profile.from_events(self.events()).render(top=top,
+                                                         width=width)
 
     # ------------------------------------------------------------------
     # post-mortem

@@ -8,15 +8,15 @@ Record a run first (any experiment accepts the flags)::
 then explain it::
 
     repro-analyze report fig2.events.jsonl        # attribution & co
-    repro-analyze report huge.events.jsonl.gz --stream   # out-of-core
     repro-analyze folded fig2.events.jsonl -o fig2.folded
     repro-analyze timeline fig2.events.jsonl
     repro-analyze diff base.events.jsonl cand.events.jsonl
 
-``report`` prints per-object attribution, per-core time breakdowns, the
-migration matrix, the lock-contention table and cache-occupancy
-timelines; ``--stream`` produces the same report in one constant-memory
-pass.  ``diff`` reports per-metric deltas with confidence intervals so
+``report`` prints, for each run in the recording, per-object
+attribution, per-core time breakdowns, the migration matrix, the
+lock-contention table and cache-occupancy timelines, in one
+constant-memory pass (recordings of any size, plain or ``.gz``).
+``diff`` reports per-metric deltas with confidence intervals so
 scheduler A/Bs and bench-regression gates are one command.
 
 Fleet-scale analysis (:mod:`repro.obs.stream`)::
@@ -35,41 +35,62 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Sequence, TypeVar
 
 from repro.errors import ProfileError, ReproError
 from repro.obs.export import ascii_timeline, open_text, write_jsonl
 from repro.obs.profile import (EventDecoder, Run, diff_metrics,
                                diff_streams, folded_stacks, load_jsonl,
-                               render_diff, render_report, split_runs)
-from repro.obs.stream import (Profile, RunProfile, StreamProfiler,
-                              load_profile, merge_profiles, synthesize)
+                               render_diff, split_runs)
+from repro.obs.stream import (RunProfile, StreamProfiler, load_profile,
+                              merge_profiles, synthesize)
+
+T = TypeVar("T")
 
 
-def _load_runs(path: str, run_filter: Optional[str]) -> List[Run]:
-    """Parse ``path`` and return its runs, optionally filtered.
+def _select_runs(path: str, runs: Sequence[T], labels: Sequence[str],
+                 run_filter: Optional[str]) -> List[T]:
+    """The runs ``--run`` selects (all when it is None).
 
-    ``run_filter`` selects by label, or by index when it is an integer.
+    ``run_filter`` selects by label, or by index when it is an integer;
+    ``labels[i]`` is the label of ``runs[i]``.
     """
-    runs = split_runs(load_jsonl(path).events)
     if not runs:
         raise ProfileError(f"{path}: stream contains no events")
     if run_filter is None:
-        return runs
+        return list(runs)
     try:
         index = int(run_filter)
     except ValueError:
-        selected = [run for run in runs if run.label == run_filter]
+        selected = [run for run, label in zip(runs, labels)
+                    if label == run_filter]
         if not selected:
             raise ProfileError(
                 f"{path}: no run labelled {run_filter!r}; "
-                f"stream has {[run.label for run in runs]}")
+                f"stream has {list(labels)}")
         return selected
     if not 0 <= index < len(runs):
         raise ProfileError(
             f"{path}: run index {index} out of range (stream has "
             f"{len(runs)} runs)")
     return [runs[index]]
+
+
+def _load_runs(path: str, run_filter: Optional[str]) -> List[Run]:
+    """Parse ``path`` into per-run event lists, filtered by ``--run``."""
+    runs = split_runs(load_jsonl(path).events)
+    return _select_runs(path, runs, [run.label for run in runs],
+                        run_filter)
+
+
+def _profile_sections(path: str,
+                      run_filter: Optional[str]) -> List[RunProfile]:
+    """Profile ``path`` in one streaming pass; one section per run,
+    filtered by ``--run``."""
+    sections = StreamProfiler().feed_path(path).profile.sections
+    return _select_runs(path, sections,
+                        [section.display_label for section in sections],
+                        run_filter)
 
 
 def _merged_events(runs: List[Run]) -> List:
@@ -108,48 +129,10 @@ def _apply_rss_limit(max_rss_mb: Optional[int]) -> None:
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _select_sections(profile: Profile, run_filter: Optional[str],
-                     path: str) -> List[RunProfile]:
-    """Mirror of :func:`_load_runs` filtering, over profile sections."""
-    sections = profile.sections
-    if run_filter is None:
-        return sections
-    try:
-        index = int(run_filter)
-    except ValueError:
-        selected = [section for section in sections
-                    if section.display_label == run_filter]
-        if not selected:
-            raise ProfileError(
-                f"{path}: no run labelled {run_filter!r}; stream has "
-                f"{[section.display_label for section in sections]}")
-        return selected
-    if not 0 <= index < len(sections):
-        raise ProfileError(
-            f"{path}: run index {index} out of range (stream has "
-            f"{len(sections)} runs)")
-    return [sections[index]]
-
-
-def _stream_report_parts(args) -> List[str]:
-    """One rendered report per selected run, in a single streaming pass."""
-    profiler = StreamProfiler()
-    profiler.feed_path(args.events)
-    if profiler.events_seen == 0:
-        raise ProfileError(f"{args.events}: stream contains no events")
-    sections = _select_sections(profiler.profile, args.run, args.events)
-    return [section.render(top=args.top, width=args.width)
-            for section in sections]
-
-
 def _cmd_report(args) -> int:
     _apply_rss_limit(args.max_rss_mb)
-    if args.stream:
-        parts = _stream_report_parts(args)
-    else:
-        runs = _load_runs(args.events, args.run)
-        parts = [render_report(run, top=args.top, width=args.width)
-                 for run in runs]
+    parts = [section.render(top=args.top, width=args.width)
+             for section in _profile_sections(args.events, args.run)]
     if args.metrics:
         with open(args.metrics, "r", encoding="utf-8") as handle:
             snapshot = json.load(handle)
@@ -183,8 +166,8 @@ def _cmd_diff(args) -> int:
 
 def _cmd_folded(args) -> int:
     lines: List[str] = []
-    for run in _load_runs(args.events, args.run):
-        lines.extend(folded_stacks(run.events, label=run.label))
+    for section in _profile_sections(args.events, args.run):
+        lines.extend(folded_stacks(section))
     if not lines:
         print("(no attributable cycles in stream)", file=sys.stderr)
         return 1
@@ -300,15 +283,11 @@ def main(argv=None) -> int:
                         help="timeline width in columns (default 72)")
     report.add_argument("--run", default=None,
                         help="restrict to one run (label or index)")
-    report.add_argument("--stream", action="store_true",
-                        help="single-pass constant-memory ingest; output "
-                             "is byte-identical to the batch path (runs "
-                             "sharing a label fold into one section)")
     report.add_argument("--max-rss-mb", type=int, default=None,
                         metavar="MB",
                         help="hard address-space cap applied before "
                              "reading anything (POSIX only; proves the "
-                             "streaming path is out-of-core)")
+                             "report is out-of-core)")
     report.add_argument("-o", "--out", default=None,
                         help="write the report to a file instead of stdout")
     report.set_defaults(func=_cmd_report)

@@ -3,17 +3,18 @@
 The paper's §4 story is that event counters *explain* performance:
 misses are attributed to the object being manipulated, and per-core
 counters reveal overloaded cores and overpacked caches.  The online
-:class:`~repro.core.monitor.Monitor` consumes those signals live; this
-module reproduces the same explanations *offline*, from the JSONL event
-streams and metrics snapshots :mod:`repro.obs` already exports — so a
-recorded run can be profiled, compared and regression-gated long after
-the simulator is gone.
+:class:`~repro.core.monitor.Monitor` consumes those signals live; the
+offline analyzer reproduces the same explanations from the JSONL event
+streams :mod:`repro.obs` exports, so a recorded run can be profiled,
+compared and regression-gated long after the simulator is gone.
 
-Pipeline::
+This module holds the ingest (JSONL -> typed events), the per-run
+split, the A/B diff and the folded-stack output; the attribution itself
+lives in the reducers of :mod:`repro.obs.stream`::
 
-    recording = load_jsonl("fig2.events.jsonl")   # typed events again
-    for run in split_runs(recording.events):      # one per simulator
-        print(render_report(run))                 # attribution & co
+    for event in iter_jsonl("fig2.events.jsonl"):  # typed events again
+        profile.feed(event)                         # stream.Profile
+    print(profile.render())                         # one section per run
     print(render_diff(diff_streams(base.events, cand.events)))
 
 Everything here is strictly off the hot path: the simulator never
@@ -24,9 +25,9 @@ not ask for it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Union)
 
 from repro.analysis import SampleStats, summarise
 from repro.errors import ProfileError
@@ -36,14 +37,14 @@ from repro.obs.events import (EVENT_KINDS, CacheEvicted, CacheInvalidated,
                               codec_for)
 from repro.obs.export import SCHEMA_VERSION, open_text
 
+if TYPE_CHECKING:
+    from repro.obs.stream import RunProfile
+
 __all__ = [
-    "Recording", "Run", "ObjectCost", "CoreBreakdown", "LockStat",
-    "StreamSummary", "MetricDelta", "EventDecoder", "load_jsonl",
-    "parse_jsonl", "iter_jsonl",
-    "split_runs", "object_costs", "core_breakdown", "migration_matrix",
-    "lock_table", "occupancy_timeline", "folded_stacks",
-    "summarise_stream", "diff_streams", "render_report", "render_diff",
-    "render_migration_matrix", "render_lock_table", "diff_metrics",
+    "Recording", "Run", "StreamSummary", "MetricDelta", "EventDecoder",
+    "load_jsonl", "parse_jsonl", "iter_jsonl", "split_runs",
+    "folded_stacks", "summarise_stream", "diff_streams", "render_diff",
+    "diff_metrics",
 ]
 
 
@@ -57,10 +58,6 @@ class Recording:
 
     schema_version: int
     events: List[Event]
-
-    @property
-    def horizon(self) -> int:
-        return stream_horizon(self.events)
 
 
 #: Shared stdlib decoder: :meth:`json.JSONDecoder.raw_decode` skips
@@ -247,208 +244,24 @@ def split_runs(events: Sequence[Event]) -> List[Run]:
     return runs
 
 
-def stream_horizon(events: Sequence[Event]) -> int:
-    """Last cycle touched by any event (migrations count their landing)."""
-    horizon = 0
-    for event in events:
-        ts = event.ts
-        if type(event) is MigrationStarted and event.arrive_ts > ts:
-            ts = event.arrive_ts
-        if ts > horizon:
-            horizon = ts
-    return horizon
-
-
-# ---------------------------------------------------------------------------
-# per-object attribution
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ObjectCost:
-    """Everything one object cost the machine, mirroring §4's monitor."""
-
-    name: str
-    ops: int = 0
-    cycles: int = 0
-    #: Operations with valid counter deltas (ran on one core end to end).
-    attributed_ops: int = 0
-    dram_loads: int = 0
-    remote_hits: int = 0
-    mem_stall_cycles: int = 0
-    spin_cycles: int = 0
-    #: Migrations triggered while operating on this object, and the
-    #: cycles threads spent in flight for them.
-    migrations: int = 0
-    migration_cycles: int = 0
-    #: Memory-event attribution (``capture_memory`` streams only).
-    evictions: int = 0
-    invalidations: int = 0
-
-    @property
-    def total_cycles(self) -> int:
-        """Execution plus in-flight migration cycles — the ranking key."""
-        return self.cycles + self.migration_cycles
-
-    @property
-    def cycles_per_op(self) -> float:
-        return self.cycles / self.ops if self.ops else 0.0
-
-    def per_attributed_op(self, value: int) -> float:
-        return value / self.attributed_ops if self.attributed_ops else 0.0
-
-
-def object_costs(events: Sequence[Event]) -> List[ObjectCost]:
-    """Attribute cycles, misses and migrations to objects.
-
-    Returned most-expensive first (by :attr:`ObjectCost.total_cycles`).
-    Migrations are charged to the object of the operation in progress on
-    the migrating thread; a migration outside any operation is nobody's
-    fault and lands on the pseudo-object ``(no operation)``.
-
-    Thin wrapper over the streaming
-    :class:`repro.obs.stream.ObjectCostsReducer` (single source of
-    truth for the attribution rules).
-    """
-    from repro.obs.stream import ObjectCostsReducer
-    reducer = ObjectCostsReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.result()
-
-
-# ---------------------------------------------------------------------------
-# per-core time breakdown
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CoreBreakdown:
-    """Where one core's cycles went over the recorded horizon.
-
-    Derived purely from events, so it is an *attribution* of the horizon,
-    not a cycle-exact ledger.  ``busy`` sums the cycles of operations
-    that ran wholly on this core (those carry valid counter deltas and
-    occupy the core continuously); ``mem_stall`` and ``spin`` are the
-    attributed slices of that busy time.  An operation that migrated
-    mid-flight spans several cores plus queue and flight time, so its
-    cycles cannot be placed on any single core — it is reported in
-    ``unplaced_ops``/``unplaced_cycles`` on the core it *finished* on
-    instead of inflating ``busy``.  ``migrating`` is in-flight time of
-    threads the core handed away.
-    """
-
-    core: int
-    horizon: int
-    ops: int = 0
-    busy: int = 0
-    mem_stall: int = 0
-    spin: int = 0
-    migrating: int = 0
-    unplaced_ops: int = 0
-    unplaced_cycles: int = 0
-
-    @property
-    def idle(self) -> int:
-        """Horizon not covered by local busy or out-migration.
-
-        Includes unannotated work and the unplaceable share of
-        cross-core operations, so read it as an upper bound.
-        """
-        return max(0, self.horizon - self.busy - self.migrating)
-
-    def frac(self, value: int) -> float:
-        return value / self.horizon if self.horizon else 0.0
-
-
-def core_breakdown(events: Sequence[Event],
-                   horizon: Optional[int] = None) -> List[CoreBreakdown]:
-    """Per-core busy/mem-stall/spin/migrating/idle attribution."""
-    from repro.obs.stream import CoreBreakdownReducer
-    if horizon is None:
-        horizon = stream_horizon(events)
-    reducer = CoreBreakdownReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.result(horizon)
-
-
-# ---------------------------------------------------------------------------
-# migration matrix & lock contention
-# ---------------------------------------------------------------------------
-
-def migration_matrix(events: Sequence[Event]) -> Dict[Tuple[int, int], int]:
-    """``(from_core, to_core) -> count`` over all migrations."""
-    from repro.obs.stream import MigrationMatrixReducer
-    reducer = MigrationMatrixReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.result()
-
-
-@dataclass
-class LockStat:
-    """Contention on one lock."""
-
-    name: str
-    contended_acquires: int = 0
-    threads: set = field(default_factory=set)
-    per_core: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def hottest_core(self) -> Optional[int]:
-        if not self.per_core:
-            return None
-        return max(self.per_core, key=lambda c: (self.per_core[c], -c))
-
-
-def lock_table(events: Sequence[Event]) -> List[LockStat]:
-    """Per-lock contention, most contended first."""
-    from repro.obs.stream import LockTableReducer
-    reducer = LockTableReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.result()
-
-
-# ---------------------------------------------------------------------------
-# cache occupancy timeline
-# ---------------------------------------------------------------------------
-
-def occupancy_timeline(events: Sequence[Event], n_cores: Optional[int] = None,
-                       width: int = 72) -> str:
-    """Assigned-object count per core cache over time (ASCII strip).
-
-    Built from ``assign``/``move`` events: each column is a time bucket,
-    the glyph is the number of objects assigned to that core's cache at
-    the bucket's end (``0``–``9``, then ``+``).  A consistently high row
-    next to starved rows is the paper's overpacked-cache signal.
-
-    Wrapper over :class:`repro.obs.stream.OccupancyReducer` with the
-    same default sample capacity, so batch and streaming reports prune
-    (and annotate) giant recordings identically.
-    """
-    from repro.obs.stream import OccupancyReducer
-    reducer = OccupancyReducer()
-    for event in events:
-        reducer.feed(event)
-    return reducer.render(stream_horizon(events), n_cores=n_cores,
-                          width=width)
-
-
 # ---------------------------------------------------------------------------
 # folded stacks (speedscope / flamegraph.pl)
 # ---------------------------------------------------------------------------
 
-def folded_stacks(events: Sequence[Event], label: str = "run") -> List[str]:
+def folded_stacks(section: "RunProfile") -> List[str]:
     """``workload;object;phase cycles`` lines for flame-graph tools.
 
-    Phases per object: ``compute`` (cycles minus attributed stalls),
-    ``mem-stall``, ``lock-spin``, ``migration``, and ``unattributed``
-    for operations whose deltas were lost to a mid-flight migration.
-    Load the output with speedscope (https://speedscope.app) or pipe it
-    through ``flamegraph.pl``.
+    One line per object and phase of the run ``section`` profiles,
+    labelled with its display label.  Phases per object: ``compute``
+    (cycles minus attributed stalls), ``mem-stall``, ``lock-spin``,
+    ``migration``, and ``unattributed`` for operations whose deltas
+    were lost to a mid-flight migration.  Load the output with
+    speedscope (https://speedscope.app) or pipe it through
+    ``flamegraph.pl``.
     """
+    label = section.display_label
     lines: List[str] = []
-    for cost in object_costs(events):
+    for cost in section.objects.result():
         attributed_cycles = 0
         if cost.attributed_ops and cost.ops:
             # Deltas cover only attributed ops; scale busy cycles by the
@@ -502,9 +315,11 @@ def summarise_stream(events: Sequence[Event],
     op_mem: List[int] = []
     op_spin: List[int] = []
     migrations = migration_cycles = lock_contended = 0
-    evictions = invalidations = 0
+    evictions = invalidations = horizon = 0
     for event in events:
         etype = type(event)
+        if event.ts > horizon:
+            horizon = event.ts
         if etype is OperationFinished:
             op_cycles.append(event.cycles)
             if event.dram is not None:
@@ -515,6 +330,9 @@ def summarise_stream(events: Sequence[Event],
         elif etype is MigrationStarted:
             migrations += 1
             migration_cycles += event.arrive_ts - event.ts
+            # a migration's horizon is its landing
+            if event.arrive_ts > horizon:
+                horizon = event.arrive_ts
         elif etype is LockContended:
             lock_contended += 1
         elif etype is CacheEvicted:
@@ -522,7 +340,7 @@ def summarise_stream(events: Sequence[Event],
         elif etype is CacheInvalidated:
             invalidations += event.copies
     return StreamSummary(
-        label=label, horizon=stream_horizon(events), ops=len(op_cycles),
+        label=label, horizon=horizon, ops=len(op_cycles),
         migrations=migrations, migration_cycles=migration_cycles,
         lock_contended=lock_contended, evictions=evictions,
         invalidations=invalidations, op_cycles=op_cycles, op_dram=op_dram,
@@ -656,97 +474,6 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def render_object_costs(costs: Sequence[ObjectCost],
-                        top: int = 10) -> str:
-    """Top-N attribution table, §4's per-object story as text."""
-    if not costs:
-        return "(no annotated operations recorded)"
-    rows = []
-    for cost in costs[:top]:
-        stall_pct = (100.0 * cost.mem_stall_cycles / cost.cycles
-                     if cost.cycles else 0.0)
-        rows.append([
-            cost.name,
-            f"{cost.ops:,}",
-            f"{cost.total_cycles:,}",
-            f"{cost.cycles_per_op:,.0f}",
-            f"{cost.per_attributed_op(cost.dram_loads):.2f}",
-            f"{cost.per_attributed_op(cost.remote_hits):.2f}",
-            f"{stall_pct:.0f}%",
-            f"{cost.per_attributed_op(cost.spin_cycles):,.0f}",
-            f"{cost.migrations:,}",
-            f"{cost.migration_cycles:,}",
-        ])
-    table = _table(
-        ["object", "ops", "cycles", "cyc/op", "dram/op", "remote/op",
-         "stall", "spin/op", "migr", "migr-cyc"], rows)
-    shown = min(top, len(costs))
-    dropped = len(costs) - shown
-    note = f"; {dropped:,} rows dropped" if dropped else ""
-    return (f"Per-object attribution (top {shown} of {len(costs)} "
-            "by total cycles; dram/remote/stall/spin over attributed "
-            f"ops{note})\n{table}")
-
-
-def render_core_breakdown(cores: Sequence[CoreBreakdown]) -> str:
-    if not cores:
-        return "(no per-core activity recorded)"
-    rows = []
-    for item in cores:
-        rows.append([
-            str(item.core),
-            f"{item.ops:,}",
-            f"{100 * item.frac(item.busy):.0f}%",
-            f"{100 * item.frac(item.mem_stall):.0f}%",
-            f"{100 * item.frac(item.spin):.0f}%",
-            f"{100 * item.frac(item.migrating):.0f}%",
-            f"{100 * item.frac(item.idle):.0f}%",
-            f"{item.unplaced_ops:,}",
-        ])
-    table = _table(
-        ["core", "ops", "busy", "mem-stall", "spin", "migrating",
-         "idle/other", "x-core ops"], rows)
-    horizon = cores[0].horizon
-    return (f"Per-core time breakdown over {horizon:,} cycles "
-            "(busy = operations that ran wholly on the core; "
-            "x-core ops finished here\nafter migrating, so their cycles "
-            f"are not placed on any single core)\n{table}")
-
-
-def render_migration_matrix(matrix: Dict[Tuple[int, int], int]) -> str:
-    if not matrix:
-        return "(no migrations recorded)"
-    cores = sorted({core for pair in matrix for core in pair})
-    headers = ["from\\to"] + [str(core) for core in cores] + ["total"]
-    rows = []
-    for source in cores:
-        row = [str(source)]
-        total = 0
-        for target in cores:
-            count = matrix.get((source, target), 0)
-            total += count
-            row.append(f"{count:,}" if count else ".")
-        row.append(f"{total:,}")
-        rows.append(row)
-    return ("Core-to-core migration matrix (rows = departing core)\n"
-            + _table(headers, rows))
-
-
-def render_lock_table(locks: Sequence[LockStat], top: int = 10) -> str:
-    if not locks:
-        return "(no lock contention recorded)"
-    rows = [[stat.name, f"{stat.contended_acquires:,}",
-             str(len(stat.threads)), str(stat.hottest_core)]
-            for stat in locks[:top]]
-    shown = min(top, len(locks))
-    dropped = len(locks) - shown
-    note = (f" (top {shown} of {len(locks)}; {dropped:,} rows dropped)"
-            if dropped else "")
-    return (f"Lock contention (one event per contended acquire){note}\n"
-            + _table(["lock", "contended", "threads", "hottest core"],
-                     rows))
-
-
 def render_diff(deltas: Sequence[MetricDelta]) -> str:
     """Diff table; sampled metrics carry ±CI95 and a significance flag."""
     if not deltas:
@@ -770,23 +497,3 @@ def render_diff(deltas: Sequence[MetricDelta]) -> str:
         change += f" ({pct:+.1f}%)" if pct is not None else ""
         rows.append([delta.name, base, cand, change, verdict])
     return _table(["metric", "baseline", "candidate", "delta", ""], rows)
-
-
-def render_report(run: Run, top: int = 10, width: int = 72) -> str:
-    """Full offline report for one run: every §4 explanation as text.
-
-    Rebased on the streaming core: one :class:`repro.obs.stream
-    .RunProfile` fed with the run's events renders exactly this report,
-    which is what makes ``repro-analyze report --stream`` byte-identical
-    to the batch path.
-    """
-    from repro.obs.stream import RunProfile
-    return RunProfile.from_events(run.label, run.events).render(
-        top=top, width=width)
-
-
-def render_stream_report(events: Sequence[Event], top: int = 10,
-                         width: int = 72) -> str:
-    """Report every run in a stream (streams may hold several)."""
-    return "\n\n".join(render_report(run, top=top, width=width)
-                       for run in split_runs(events))

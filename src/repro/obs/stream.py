@@ -1,10 +1,7 @@
-"""Single-pass, constant-memory streaming profiles over event streams.
+"""Single-pass, constant-memory profiles over event streams.
 
-The batch analyzer (:mod:`repro.obs.profile`) materializes a whole
-recording as ``List[Event]`` before attributing anything; fleet-scale
-recordings (ROADMAP's million-user scenario) are multi-GB, so this
-module re-expresses every §4 attribution as an incremental *reducer*
-that folds one event at a time and never looks back:
+Every §4 attribution is an incremental *reducer* that folds one event at
+a time and never looks back:
 
 * memory is proportional to the number of distinct objects, cores,
   locks and threads — never to the number of events;
@@ -17,9 +14,9 @@ that folds one event at a time and never looks back:
   gracefully through deterministic bottom-k sampling (keyed hashing, so
   any partition of the stream prunes to the same sample).
 
-The batch profiler is rebased on these reducers, so ``repro-analyze
-report`` and ``report --stream`` produce byte-identical text for the
-same stream (one section per distinct run label).
+A :class:`Profile` holds one :class:`RunProfile` section per
+``RunMarker`` — one per simulator run, whatever its label — and every
+``repro-analyze`` report renders through it.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import copy
 import heapq
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Set, Tuple, Type)
@@ -45,23 +42,25 @@ from repro.obs.events import (CacheEvicted, CacheInvalidated, Event,
 from repro.obs.export import SCHEMA_VERSION, JsonlWriter, open_text
 from repro.obs.metrics import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                                Histogram)
+from repro.obs.profile import _table, iter_jsonl
 
 __all__ = [
     "DEFAULT_SAMPLE_CAPACITY", "NO_OPERATION", "PROFILE_FORMAT_VERSION",
+    "ObjectCost", "CoreBreakdown", "LockStat",
     "ObjectCostsReducer", "CoreBreakdownReducer",
     "MigrationMatrixReducer", "LockTableReducer", "LatencyReducer",
     "OccupancyReducer", "SweepReducer", "RunProfile", "Profile",
     "StreamProfiler", "ShardRecorder", "load_profile", "merge_profiles",
-    "synthesize",
+    "render_object_costs", "render_core_breakdown",
+    "render_migration_matrix", "render_lock_table", "synthesize",
 ]
 
 #: Pseudo-object charged for migrations of threads outside any
-#: operation (mirrors the batch analyzer's attribution rule).
+#: operation.
 NO_OPERATION = "(no operation)"
 
 #: Maximum distinct occupancy changes a profile keeps before the
-#: deterministic bottom-k sampler starts pruning.  Shared by the batch
-#: wrapper so both paths prune identically.
+#: deterministic bottom-k sampler starts pruning.
 DEFAULT_SAMPLE_CAPACITY = 65_536
 
 #: Version of the :class:`Profile` JSON artifact.
@@ -75,19 +74,113 @@ Handler = Callable[[Any], None]
 
 
 # ---------------------------------------------------------------------------
+# result rows
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ObjectCost:
+    """Everything one object cost the machine, mirroring §4's monitor."""
+
+    name: str
+    ops: int = 0
+    cycles: int = 0
+    #: Operations with valid counter deltas (ran on one core end to end).
+    attributed_ops: int = 0
+    dram_loads: int = 0
+    remote_hits: int = 0
+    mem_stall_cycles: int = 0
+    spin_cycles: int = 0
+    #: Migrations triggered while operating on this object, and the
+    #: cycles threads spent in flight for them.
+    migrations: int = 0
+    migration_cycles: int = 0
+    #: Memory-event attribution (``capture_memory`` streams only).
+    evictions: int = 0
+    invalidations: int = 0
+
+    @property
+    def total_cycles(self) -> int:
+        """Execution plus in-flight migration cycles — the ranking key."""
+        return self.cycles + self.migration_cycles
+
+    @property
+    def cycles_per_op(self) -> float:
+        return self.cycles / self.ops if self.ops else 0.0
+
+    def per_attributed_op(self, value: int) -> float:
+        return value / self.attributed_ops if self.attributed_ops else 0.0
+
+
+@dataclass
+class CoreBreakdown:
+    """Where one core's cycles went over the run's horizon.
+
+    Derived purely from events, so it is an *attribution* of the horizon,
+    not a cycle-exact ledger.  ``busy`` sums the cycles of operations
+    that ran wholly on this core (those carry valid counter deltas and
+    occupy the core continuously); ``mem_stall`` and ``spin`` are the
+    attributed slices of that busy time.  An operation that migrated
+    mid-flight spans several cores plus queue and flight time, so its
+    cycles cannot be placed on any single core — it is reported in
+    ``unplaced_ops``/``unplaced_cycles`` on the core it *finished* on
+    instead of inflating ``busy``.  ``migrating`` is in-flight time of
+    threads the core handed away.
+    """
+
+    core: int
+    horizon: int
+    ops: int = 0
+    busy: int = 0
+    mem_stall: int = 0
+    spin: int = 0
+    migrating: int = 0
+    unplaced_ops: int = 0
+    unplaced_cycles: int = 0
+
+    @property
+    def idle(self) -> int:
+        """Horizon not covered by local busy or out-migration.
+
+        Includes unannotated work and the unplaceable share of
+        cross-core operations, so read it as an upper bound.
+        """
+        return max(0, self.horizon - self.busy - self.migrating)
+
+    def frac(self, value: int) -> float:
+        return value / self.horizon if self.horizon else 0.0
+
+
+@dataclass
+class LockStat:
+    """Contention on one lock."""
+
+    name: str
+    contended_acquires: int = 0
+    threads: set = field(default_factory=set)
+    per_core: Dict[int, int] = field(default_factory=dict)
+
+    @property
+    def hottest_core(self) -> Optional[int]:
+        if not self.per_core:
+            return None
+        return max(self.per_core, key=lambda c: (self.per_core[c], -c))
+
+
+# ---------------------------------------------------------------------------
 # reducers
 #
 # The reducer contract (DESIGN.md §12): ``handlers()`` maps event types
-# to bound methods, ``feed(event)`` folds one event, ``merge_from``
-# folds another reducer's partial state (stream concatenation),
-# ``state()``/``from_state()`` round-trip through JSON primitives.
+# to bound methods (a :class:`RunProfile` folds events through them),
+# ``merge_from`` folds another reducer's partial state (stream
+# concatenation), ``state()``/``from_state()`` round-trip through JSON
+# primitives.
 # ---------------------------------------------------------------------------
 
 class ObjectCostsReducer:
     """Per-object cycles/misses/migrations, one pass, mergeable.
 
-    The only stream-order-dependent part of the batch attribution is
-    "which object was the migrating thread operating on?".  The reducer
+    The only stream-order-dependent part of the attribution is "which
+    object was the migrating thread operating on?".  The reducer
     keeps ``known`` (thread -> object, or None for "known to be outside
     any operation") plus ``pending`` for migrations seen before the
     shard recorded any operation event for that thread; a merge resolves
@@ -96,9 +189,7 @@ class ObjectCostsReducer:
     """
 
     def __init__(self) -> None:
-        from repro.obs.profile import ObjectCost
-        self._cost_cls = ObjectCost
-        self.costs: Dict[str, Any] = {}
+        self.costs: Dict[str, ObjectCost] = {}
         self.known: Dict[str, Optional[str]] = {}
         self.pending: Dict[str, List[int]] = {}
 
@@ -109,15 +200,11 @@ class ObjectCostsReducer:
                 CacheEvicted: self._evict,
                 CacheInvalidated: self._invalidate}
 
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
 
-    def _cost(self, name: str) -> Any:
+    def _cost(self, name: str) -> ObjectCost:
         entry = self.costs.get(name)
         if entry is None:
-            entry = self.costs[name] = self._cost_cls(name)
+            entry = self.costs[name] = ObjectCost(name)
         return entry
 
     def _op_start(self, event: OperationStarted) -> None:
@@ -187,12 +274,12 @@ class ObjectCostsReducer:
             cost.migration_cycles += cycles
         self.known.update(other.known)
 
-    def result(self) -> List[Any]:
-        """Sorted :class:`~repro.obs.profile.ObjectCost` list.
+    def result(self) -> List[ObjectCost]:
+        """:class:`ObjectCost` rows, most expensive first.
 
         Leftover pending migrations (threads that never recorded an
-        operation event anywhere in the stream) resolve to
-        ``(no operation)``, exactly like the batch analyzer.  The
+        operation event anywhere in the run) resolve to
+        ``(no operation)``, like any migration outside an operation.  The
         reducer state itself is left untouched so rendering twice — or
         rendering mid-stream — is safe.
         """
@@ -200,7 +287,7 @@ class ObjectCostsReducer:
         if self.pending:
             entry = costs.get(NO_OPERATION)
             if entry is None:
-                entry = costs[NO_OPERATION] = self._cost_cls(NO_OPERATION)
+                entry = costs[NO_OPERATION] = ObjectCost(NO_OPERATION)
             for migrations, cycles in self.pending.values():
                 entry.migrations += migrations
                 entry.migration_cycles += cycles
@@ -218,7 +305,7 @@ class ObjectCostsReducer:
     def from_state(cls, state: Dict[str, Any]) -> "ObjectCostsReducer":
         reducer = cls()
         for name, fields in state["costs"].items():
-            reducer.costs[name] = reducer._cost_cls(**fields)
+            reducer.costs[name] = ObjectCost(**fields)
         reducer.known.update(state["known"])
         for thread, entry in state["pending"].items():
             reducer.pending[thread] = list(entry)
@@ -239,10 +326,6 @@ class CoreBreakdownReducer:
         return {OperationFinished: self._op_end,
                 MigrationStarted: self._migrate}
 
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
 
     def _entry(self, core: int) -> List[int]:
         entry = self.cores.get(core)
@@ -270,8 +353,7 @@ class CoreBreakdownReducer:
             for index, value in enumerate(counts):
                 entry[index] += value
 
-    def result(self, horizon: int) -> List[Any]:
-        from repro.obs.profile import CoreBreakdown
+    def result(self, horizon: int) -> List[CoreBreakdown]:
         breakdowns = []
         for core in sorted(self.cores):
             counts = self.cores[core]
@@ -302,9 +384,6 @@ class MigrationMatrixReducer:
     def handlers(self) -> Dict[Type[Event], Handler]:
         return {MigrationStarted: self._migrate}
 
-    def feed(self, event: Event) -> None:
-        if type(event) is MigrationStarted:
-            self._migrate(event)
 
     def _migrate(self, event: MigrationStarted) -> None:
         key = (event.core, event.target)
@@ -341,9 +420,6 @@ class LockTableReducer:
     def handlers(self) -> Dict[Type[Event], Handler]:
         return {LockContended: self._contended}
 
-    def feed(self, event: Event) -> None:
-        if type(event) is LockContended:
-            self._contended(event)
 
     def _entry(self, name: str) -> Tuple[List[int], Set[str],
                                          Dict[int, int]]:
@@ -366,8 +442,7 @@ class LockTableReducer:
             for core, count in per_core.items():
                 mine[2][core] = mine[2].get(core, 0) + count
 
-    def result(self) -> List[Any]:
-        from repro.obs.profile import LockStat
+    def result(self) -> List[LockStat]:
         stats = []
         for name, (counts, threads, per_core) in self.locks.items():
             stats.append(LockStat(name, contended_acquires=counts[0],
@@ -429,10 +504,6 @@ class LatencyReducer:
         return {OperationFinished: self._op_end,
                 MigrationStarted: self._migrate}
 
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
 
     def _op_end(self, event: OperationFinished) -> None:
         self.op.observe(event.cycles)
@@ -507,10 +578,6 @@ class OccupancyReducer:
     def handlers(self) -> Dict[Type[Event], Handler]:
         return {ObjectAssigned: self._assign, ObjectMoved: self._move}
 
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
 
     def _add(self, ts: int, core: int, delta: int) -> None:
         key = (ts, core, delta)
@@ -584,20 +651,21 @@ class OccupancyReducer:
             self.pruned = True
         self._rebuild_heap()
 
-    def render(self, stream_horizon: int, n_cores: Optional[int] = None,
-               width: int = 72) -> str:
-        """ASCII occupancy strip, byte-identical to the batch layout.
+    def render(self, stream_horizon: int, width: int = 72) -> str:
+        """Assigned-object count per core cache over time (ASCII strip).
 
-        Within-bucket ordering of changes is irrelevant (only cumulative
-        counts at bucket edges matter), so applying each distinct change
-        ``count`` times at once reproduces the event-ordered batch
-        rendering exactly.
+        Each column is a time bucket; the glyph is the number of objects
+        assigned to that core's cache at the bucket's end (``0``–``9``,
+        then ``+``).  A consistently high row next to starved rows is the
+        paper's overpacked-cache signal.  Within-bucket ordering of
+        changes is irrelevant (only cumulative counts at bucket edges
+        matter), so applying each distinct change ``count`` times at once
+        renders exactly what replaying the events in order would.
         """
         if not self.changes:
             return "(no assignment events recorded)"
         full_horizon = max(self.change_horizon, stream_horizon)
-        if n_cores is None:
-            n_cores = self.max_core + 1
+        n_cores = self.max_core + 1
         width = max(8, width)
         # width * bucket must strictly exceed the horizon so an event at
         # exactly ts == horizon still lands inside the final column.
@@ -610,8 +678,7 @@ class OccupancyReducer:
             edge = (column + 1) * bucket
             while index < len(ordered) and ordered[index][0][0] < edge:
                 (_, core_id, delta), count = ordered[index]
-                if core_id < n_cores:
-                    counts[core_id] += delta * count
+                counts[core_id] += delta * count
                 index += 1
             for core_id in range(n_cores):
                 count = counts[core_id]
@@ -678,10 +745,6 @@ class SweepReducer:
                 WorkerLost: self._lost,
                 LeaseExpired: self._lease_expired}
 
-    def feed(self, event: Event) -> None:
-        handler = self.handlers().get(type(event))
-        if handler is not None:
-            handler(event)
 
     def _started(self, event: SweepCaseStarted) -> None:
         self.started += 1
@@ -763,36 +826,144 @@ class SweepReducer:
 
 
 # ---------------------------------------------------------------------------
+# text tables
+# ---------------------------------------------------------------------------
+
+def render_object_costs(costs: Sequence[ObjectCost],
+                        top: int = 10) -> str:
+    """Top-N attribution table, §4's per-object story as text."""
+    if not costs:
+        return "(no annotated operations recorded)"
+    rows = []
+    for cost in costs[:top]:
+        stall_pct = (100.0 * cost.mem_stall_cycles / cost.cycles
+                     if cost.cycles else 0.0)
+        rows.append([
+            cost.name,
+            f"{cost.ops:,}",
+            f"{cost.total_cycles:,}",
+            f"{cost.cycles_per_op:,.0f}",
+            f"{cost.per_attributed_op(cost.dram_loads):.2f}",
+            f"{cost.per_attributed_op(cost.remote_hits):.2f}",
+            f"{stall_pct:.0f}%",
+            f"{cost.per_attributed_op(cost.spin_cycles):,.0f}",
+            f"{cost.migrations:,}",
+            f"{cost.migration_cycles:,}",
+        ])
+    table = _table(
+        ["object", "ops", "cycles", "cyc/op", "dram/op", "remote/op",
+         "stall", "spin/op", "migr", "migr-cyc"], rows)
+    shown = min(top, len(costs))
+    dropped = len(costs) - shown
+    note = f"; {dropped:,} rows dropped" if dropped else ""
+    return (f"Per-object attribution (top {shown} of {len(costs)} "
+            "by total cycles; dram/remote/stall/spin over attributed "
+            f"ops{note})\n{table}")
+
+
+def render_core_breakdown(cores: Sequence[CoreBreakdown]) -> str:
+    if not cores:
+        return "(no per-core activity recorded)"
+    rows = []
+    for item in cores:
+        rows.append([
+            str(item.core),
+            f"{item.ops:,}",
+            f"{100 * item.frac(item.busy):.0f}%",
+            f"{100 * item.frac(item.mem_stall):.0f}%",
+            f"{100 * item.frac(item.spin):.0f}%",
+            f"{100 * item.frac(item.migrating):.0f}%",
+            f"{100 * item.frac(item.idle):.0f}%",
+            f"{item.unplaced_ops:,}",
+        ])
+    table = _table(
+        ["core", "ops", "busy", "mem-stall", "spin", "migrating",
+         "idle/other", "x-core ops"], rows)
+    horizon = cores[0].horizon
+    return (f"Per-core time breakdown over {horizon:,} cycles "
+            "(busy = operations that ran wholly on the core; "
+            "x-core ops finished here\nafter migrating, so their cycles "
+            f"are not placed on any single core)\n{table}")
+
+
+def render_migration_matrix(matrix: Dict[Tuple[int, int], int]) -> str:
+    if not matrix:
+        return "(no migrations recorded)"
+    cores = sorted({core for pair in matrix for core in pair})
+    headers = ["from\\to"] + [str(core) for core in cores] + ["total"]
+    rows = []
+    for source in cores:
+        row = [str(source)]
+        total = 0
+        for target in cores:
+            count = matrix.get((source, target), 0)
+            total += count
+            row.append(f"{count:,}" if count else ".")
+        row.append(f"{total:,}")
+        rows.append(row)
+    return ("Core-to-core migration matrix (rows = departing core)\n"
+            + _table(headers, rows))
+
+
+def render_lock_table(locks: Sequence[LockStat], top: int = 10) -> str:
+    if not locks:
+        return "(no lock contention recorded)"
+    rows = [[stat.name, f"{stat.contended_acquires:,}",
+             str(len(stat.threads)), str(stat.hottest_core)]
+            for stat in locks[:top]]
+    shown = min(top, len(locks))
+    dropped = len(locks) - shown
+    note = (f" (top {shown} of {len(locks)}; {dropped:,} rows dropped)"
+            if dropped else "")
+    return (f"Lock contention (one event per contended acquire){note}\n"
+            + _table(["lock", "contended", "threads", "hottest core"],
+                     rows))
+
+
+# ---------------------------------------------------------------------------
 # one run's profile (a section of the stream)
 # ---------------------------------------------------------------------------
 
 class RunProfile:
-    """All reducers for one run label, with one combined dispatch table.
+    """All reducers for one run, with one combined dispatch table.
 
-    Renders the same five batch-report sections (header, per-object
-    attribution, per-core breakdown, migration matrix, lock table,
-    occupancy timeline) plus latency/sweep sections when populated.
+    Renders the report sections (header, per-object attribution,
+    per-core breakdown, migration matrix, lock table, occupancy
+    timeline) plus latency/sweep sections when populated.
     """
 
     def __init__(self, label: Optional[str],
                  sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
                  sample_seed: int = 0) -> None:
+        self._assemble(label, 0, 0, ObjectCostsReducer(),
+                       CoreBreakdownReducer(), MigrationMatrixReducer(),
+                       LockTableReducer(), LatencyReducer(),
+                       OccupancyReducer(capacity=sample_capacity,
+                                        seed=sample_seed),
+                       SweepReducer())
+
+    def _assemble(self, label: Optional[str], events: int, horizon: int,
+                  objects: ObjectCostsReducer,
+                  cores: CoreBreakdownReducer,
+                  matrix: MigrationMatrixReducer,
+                  locks: LockTableReducer, latency: LatencyReducer,
+                  occupancy: OccupancyReducer,
+                  sweep: SweepReducer) -> None:
+        """Set every field and build the dispatch table over the
+        reducers (the one place either happens)."""
         self.label = label
-        self.events = 0
-        self.horizon = 0
-        self.objects = ObjectCostsReducer()
-        self.cores = CoreBreakdownReducer()
-        self.matrix = MigrationMatrixReducer()
-        self.locks = LockTableReducer()
-        self.latency = LatencyReducer()
-        self.occupancy = OccupancyReducer(capacity=sample_capacity,
-                                          seed=sample_seed)
-        self.sweep = SweepReducer()
-        self._reducers = (self.objects, self.cores, self.matrix,
-                          self.locks, self.latency, self.occupancy,
-                          self.sweep)
+        self.events = events
+        self.horizon = horizon
+        self.objects = objects
+        self.cores = cores
+        self.matrix = matrix
+        self.locks = locks
+        self.latency = latency
+        self.occupancy = occupancy
+        self.sweep = sweep
         dispatch: Dict[Type[Event], List[Handler]] = {}
-        for reducer in self._reducers:
+        for reducer in (objects, cores, matrix, locks, latency, occupancy,
+                        sweep):
             for etype, handler in reducer.handlers().items():
                 dispatch.setdefault(etype, []).append(handler)
         self._dispatch = dispatch
@@ -833,10 +1004,6 @@ class RunProfile:
         self.sweep.merge_from(other.sweep)
 
     def render(self, top: int = 10, width: int = 72) -> str:
-        from repro.obs.profile import (render_core_breakdown,
-                                       render_lock_table,
-                                       render_migration_matrix,
-                                       render_object_costs)
         sections = [
             f"=== run: {self.display_label} "
             f"({self.events:,} events, horizon "
@@ -873,30 +1040,16 @@ class RunProfile:
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "RunProfile":
-        occupancy = state["occupancy"]
-        section = cls(state["label"],
-                      sample_capacity=occupancy["capacity"],
-                      sample_seed=occupancy["seed"])
-        section.events = state["events"]
-        section.horizon = state["horizon"]
-        section.objects = ObjectCostsReducer.from_state(state["objects"])
-        section.cores = CoreBreakdownReducer.from_state(state["cores"])
-        section.matrix = MigrationMatrixReducer.from_state(
-            state["migrations"])
-        section.locks = LockTableReducer.from_state(state["locks"])
-        section.latency = LatencyReducer.from_state(state["latency"])
-        section.occupancy = OccupancyReducer.from_state(occupancy)
-        section.sweep = SweepReducer.from_state(state["sweep"])
-        # rebuild dispatch over the replaced reducers
-        section._reducers = (section.objects, section.cores,
-                             section.matrix, section.locks,
-                             section.latency, section.occupancy,
-                             section.sweep)
-        dispatch: Dict[Type[Event], List[Handler]] = {}
-        for reducer in section._reducers:
-            for etype, handler in reducer.handlers().items():
-                dispatch.setdefault(etype, []).append(handler)
-        section._dispatch = dispatch
+        section = cls.__new__(cls)
+        section._assemble(
+            state["label"], state["events"], state["horizon"],
+            ObjectCostsReducer.from_state(state["objects"]),
+            CoreBreakdownReducer.from_state(state["cores"]),
+            MigrationMatrixReducer.from_state(state["migrations"]),
+            LockTableReducer.from_state(state["locks"]),
+            LatencyReducer.from_state(state["latency"]),
+            OccupancyReducer.from_state(state["occupancy"]),
+            SweepReducer.from_state(state["sweep"]))
         return section
 
 
@@ -907,44 +1060,35 @@ class RunProfile:
 class Profile:
     """A serializable, mergeable whole-stream profile.
 
-    Sections are keyed by run label (``RunMarker``); events before any
-    marker go to a headless section rendered as ``run``, matching the
-    batch analyzer's ``split_runs``.  Merging treats the right profile
-    as the continuation of the left stream: the right's headless prefix
-    folds into the left's active section, same-label sections fold
-    together, new labels are appended in first-appearance order.  With
-    that, ``merge(P(a), P(b)) == P(a + b)`` holds for any split point of
-    one stream — the tested algebraic law distributed sweeps rely on.
+    ``sections`` holds one :class:`RunProfile` per ``RunMarker``, in
+    stream order, so runs that share a label stay apart; events before
+    the first marker form a headless section rendered as ``run``.
+    Merging treats the right profile as the continuation of the left
+    stream: the right's headless prefix folds into the left's last
+    section and its other sections are appended.  With that,
+    ``merge(P(a), P(b)) == P(a + b)`` holds for any split point of one
+    stream — the tested algebraic law distributed sweeps rely on.
     """
 
     def __init__(self, sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
                  sample_seed: int = 0) -> None:
         self.sample_capacity = sample_capacity
         self.sample_seed = sample_seed
-        self._sections: Dict[Optional[str], RunProfile] = {}
-        self._active: Optional[RunProfile] = None
+        self.sections: List[RunProfile] = []
 
-    # ------------------------------------------------------------------
-    # feeding
-    # ------------------------------------------------------------------
+    def _open(self, label: Optional[str]) -> RunProfile:
+        section = RunProfile(label, sample_capacity=self.sample_capacity,
+                             sample_seed=self.sample_seed)
+        self.sections.append(section)
+        return section
 
     def feed(self, event: Event) -> None:
         if type(event) is RunMarker:
-            section = self._sections.get(event.label)
-            if section is None:
-                section = self._sections[event.label] = RunProfile(
-                    event.label, sample_capacity=self.sample_capacity,
-                    sample_seed=self.sample_seed)
-            self._active = section
-            return
-        if self._active is None:
-            section = self._sections.get(None)
-            if section is None:
-                section = self._sections[None] = RunProfile(
-                    None, sample_capacity=self.sample_capacity,
-                    sample_seed=self.sample_seed)
-            self._active = section
-        self._active.feed(event)
+            self._open(event.label)
+        elif self.sections:
+            self.sections[-1].feed(event)
+        else:
+            self._open(None).feed(event)
 
     @classmethod
     def from_events(cls, events: Iterable[Event],
@@ -956,18 +1100,9 @@ class Profile:
             profile.feed(event)
         return profile
 
-    # ------------------------------------------------------------------
-    # sections
-    # ------------------------------------------------------------------
-
-    @property
-    def sections(self) -> List[RunProfile]:
-        """Sections in first-appearance order."""
-        return list(self._sections.values())
-
     @property
     def total_events(self) -> int:
-        return sum(section.events for section in self._sections.values())
+        return sum(section.events for section in self.sections)
 
     # ------------------------------------------------------------------
     # merge
@@ -987,29 +1122,13 @@ class Profile:
                 f"parameters (capacity {other.sample_capacity}, seed "
                 f"{other.sample_seed} vs capacity "
                 f"{self.sample_capacity}, seed {self.sample_seed})")
-        for label, section in other._sections.items():
-            if label is None:
-                # the right stream's pre-marker events continue the
-                # left stream's active run
-                target = self._active
-                if target is None:
-                    target = self._sections.get(None)
-                if target is None:
-                    target = self._sections[None] = RunProfile(
-                        None, sample_capacity=self.sample_capacity,
-                        sample_seed=self.sample_seed)
-                target.merge_from(section)
-                continue
-            mine = self._sections.get(label)
-            if mine is None:
-                self._sections[label] = section
-            else:
-                mine.merge_from(section)
-        if other._active is not None:
-            if other._active.label is not None:
-                self._active = self._sections[other._active.label]
-            elif self._active is None:
-                self._active = self._sections.get(None)
+        sections = other.sections
+        if self.sections and sections and sections[0].label is None:
+            # the right stream's pre-marker events continue the left
+            # stream's last run
+            self.sections[-1].merge_from(sections[0])
+            sections = sections[1:]
+        self.sections.extend(sections)
 
     def merge(self, other: "Profile") -> "Profile":
         """Non-destructive fold: a new profile equal to ``P(a + b)``."""
@@ -1022,10 +1141,14 @@ class Profile:
     # ------------------------------------------------------------------
 
     def to_json(self) -> str:
-        """Deterministic JSON (sorted keys, sections in stream order)."""
+        """Deterministic JSON (sorted keys, sections in stream order).
+
+        ``active`` names the last section's label, the run a
+        continuation of the stream would extend.
+        """
         active: Optional[Dict[str, Any]] = None
-        if self._active is not None:
-            active = {"label": self._active.label}
+        if self.sections:
+            active = {"label": self.sections[-1].label}
         document = {
             "kind": "repro.profile",
             "version": PROFILE_FORMAT_VERSION,
@@ -1033,8 +1156,7 @@ class Profile:
             "sample_capacity": self.sample_capacity,
             "sample_seed": self.sample_seed,
             "active": active,
-            "sections": [section.state()
-                         for section in self._sections.values()],
+            "sections": [section.state() for section in self.sections],
         }
         return json.dumps(document, separators=(",", ":"), sort_keys=True)
 
@@ -1059,43 +1181,31 @@ class Profile:
                 f"{PROFILE_FORMAT_VERSION})")
         profile = cls(sample_capacity=document["sample_capacity"],
                       sample_seed=document["sample_seed"])
-        for state in document["sections"]:
-            section = RunProfile.from_state(state)
-            profile._sections[section.label] = section
-        active = document.get("active")
-        if active is not None:
-            profile._active = profile._sections.get(active["label"])
+        profile.sections = [RunProfile.from_state(state)
+                            for state in document["sections"]]
         return profile
 
     # ------------------------------------------------------------------
     # equality (the merge law's notion of "same profile")
     # ------------------------------------------------------------------
 
-    def _canonical(self) -> Dict[Optional[str], Dict[str, Any]]:
-        return {label: section.state()
-                for label, section in self._sections.items()}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Profile):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return ([section.state() for section in self.sections]
+                == [section.state() for section in other.sections])
 
     def __repr__(self) -> str:
-        labels = [section.display_label
-                  for section in self._sections.values()]
+        labels = [section.display_label for section in self.sections]
         return (f"Profile(sections={labels}, "
                 f"events={self.total_events:,})")
 
-    # ------------------------------------------------------------------
-    # rendering
-    # ------------------------------------------------------------------
-
     def render(self, top: int = 10, width: int = 72) -> str:
-        """Full report: one section per run label, batch layout."""
-        if not self._sections:
+        """Full report: one section per run."""
+        if not self.sections:
             return "(empty profile)"
         return "\n\n".join(section.render(top=top, width=width)
-                           for section in self._sections.values())
+                           for section in self.sections)
 
 
 def load_profile(path: str) -> Profile:
@@ -1121,33 +1231,22 @@ def merge_profiles(profiles: Sequence[Profile]) -> Profile:
 class StreamProfiler:
     """Incremental profiling front-end: one event in, never looks back.
 
-    Accepts typed events (:meth:`feed`), raw JSONL frames from the
-    coordinator watch feed (:meth:`feed_dict`), or whole files
-    (:meth:`feed_path`, via the generator ingest) — all land in the same
-    mergeable :class:`Profile`.
+    Accepts typed events (:meth:`feed`) or whole recordings
+    (:meth:`feed_path`, via the generator ingest); both land in the
+    same mergeable :class:`Profile`.
     """
 
     def __init__(self, sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
                  sample_seed: int = 0) -> None:
-        from repro.obs.profile import EventDecoder
         self.profile = Profile(sample_capacity=sample_capacity,
                                sample_seed=sample_seed)
-        self._decoder = EventDecoder()
         self.events_seen = 0
 
     def feed(self, event: Event) -> None:
         self.profile.feed(event)
         self.events_seen += 1
 
-    def feed_dict(self, data: Dict[str, Any]) -> Optional[Event]:
-        """Decode one ``as_dict`` frame and feed it; returns the event."""
-        event = self._decoder.decode(data)
-        if event is not None:
-            self.feed(event)
-        return event
-
     def feed_path(self, path: str) -> "StreamProfiler":
-        from repro.obs.profile import iter_jsonl
         for event in iter_jsonl(path):
             self.feed(event)
         return self

@@ -39,7 +39,6 @@ from repro.obs import (MIGRATION_BUCKETS, OP_LATENCY_BUCKETS,
                        OperationFinished, OperationStarted, ThreadArrived,
                        ThreadFinished, ThreadSpawned)
 from repro.sched.base import SchedulerRuntime
-from repro.sim.trace import Tracer, subscribe_tracer
 from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
                                    OpDone, Release, Scan, Store, YieldCore)
 from repro.threads.thread import Program, SimThread, ThreadState
@@ -108,7 +107,6 @@ class Simulator:
     """Event-driven executor for one machine + scheduler + thread set."""
 
     def __init__(self, machine: Machine, scheduler: SchedulerRuntime,
-                 tracer: Optional[Tracer] = None,
                  obs: Optional[Observability] = None,
                  checker: Optional[Any] = None,
                  faults: Optional[Any] = None) -> None:
@@ -121,14 +119,6 @@ class Simulator:
         self._mem_scan = machine.memory.scan
         self.scheduler = scheduler
         self.obs = obs
-        self.tracer = tracer
-        if tracer is not None:
-            # Legacy tracers ride the bus: a bridge converts typed
-            # lifecycle events back into flat TraceEvents.
-            if self.obs is None:
-                self.obs = Observability(events=False, metrics=False,
-                                         flight=0)
-            subscribe_tracer(self.obs.bus, tracer)
         # Publishers hold these locals; None means "construct nothing".
         self._bus = self.obs.bus if self.obs is not None else None
         self._h_oplat = self._h_miglat = None

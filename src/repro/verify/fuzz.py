@@ -50,10 +50,6 @@ from repro.workloads import scenarios as scenario_catalog
 from repro.workloads.scenarios import ScenarioSpec
 from repro.workloads.synthetic import ObjectOpsSpec, ObjectOpsWorkload
 
-#: Historical scheduler spellings still accepted in saved repro commands.
-_SCHEDULER_ALIASES = {"work_stealing": "work-stealing"}
-
-
 def scheduler_axis() -> Tuple[str, ...]:
     """Scheduler names the case generator draws from: every registry
     entry marked fuzzable (config variants of an already-fuzzed
@@ -203,8 +199,7 @@ def build_machine(case: FuzzCase,
 
 
 def build_scheduler(case: FuzzCase):
-    name = _SCHEDULER_ALIASES.get(case.scheduler, case.scheduler)
-    if name == "coretime":
+    if case.scheduler == "coretime":
         # The fuzzer owns CoreTime's config knobs (the registry factory
         # carries benchmark defaults instead).
         return CoreTimeScheduler(CoreTimeConfig(
@@ -212,7 +207,7 @@ def build_scheduler(case: FuzzCase):
             packing=case.packing,
             return_home=case.return_home,
             rebalance=case.rebalance))
-    scheduler = registry.create(name)     # raises ConfigError if unknown
+    scheduler = registry.create(case.scheduler)   # ConfigError if unknown
     if isinstance(scheduler, TimeSharingScheduler):
         scheduler.quantum = case.quantum
     return scheduler

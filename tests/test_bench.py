@@ -200,3 +200,27 @@ class TestReports:
         assert "My figure" in text
         assert "shape holds" in text
         assert "coretime" in text
+
+
+class TestExports:
+    @pytest.mark.parametrize("argv", [
+        ["fig2"], ["scenario", "--scenario", "zipf_kv"]])
+    def test_full_event_log_warns(self, argv, tmp_path, monkeypatch,
+                                  capsys):
+        import functools
+
+        import repro.bench.__main__ as bench_main
+        import repro.bench.report as report_module
+        from repro.obs import Observability
+
+        monkeypatch.setattr(report_module, "RESULTS_DIR", str(tmp_path))
+        monkeypatch.setattr(bench_main, "Observability",
+                            functools.partial(Observability, max_events=50))
+        events = tmp_path / "run.events.jsonl"
+        assert bench_main.main(argv + ["--quiet", "--events-out",
+                                       str(events)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: event log full" in err
+        assert "past its cap of 50 were dropped" in err
+        # the meta header plus the 50 recorded events
+        assert len(events.read_text(encoding="utf-8").splitlines()) == 51

@@ -191,7 +191,7 @@ class TestDecodeErrors:
     def test_analyzer_cli_takes_error_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.events.jsonl"
         path.write_text('{"kind":[]}\n', encoding="utf-8")
-        assert analyze_main(["report", str(path), "--stream"]) == 2
+        assert analyze_main(["report", str(path)]) == 2
         assert "line 1: unknown event kind []" in capsys.readouterr().err
 
 

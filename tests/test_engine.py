@@ -4,11 +4,11 @@ import pytest
 
 from repro.cpu.machine import Machine
 from repro.errors import SimulationError
-from repro.obs import Observability
+from repro.obs import (MigrationStarted, Observability, ThreadArrived,
+                       ThreadFinished, ThreadSpawned)
 from repro.obs.export import events_to_jsonl
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
-from repro.sim.trace import RecordingTracer
 from repro.threads.program import (Acquire, Compute, CtEnd, CtStart, Load,
                                    OpDone, Release, Scan, Store, YieldCore)
 from repro.threads.sync import SpinLock
@@ -341,29 +341,30 @@ class TestDeterminismAndTracing:
         assert build() == build()
 
     def test_tracer_records_lifecycle(self):
-        tracer = RecordingTracer()
+        obs = Observability()
         machine = Machine(tiny_spec())
-        sim = Simulator(machine, ThreadScheduler(), tracer=tracer)
+        sim = Simulator(machine, ThreadScheduler(), obs=obs)
         def program():
             yield Compute(1)
         sim.spawn(program(), core_id=0)
         sim.run(until=100)
-        kinds = tracer.counts()
-        assert kinds["spawn"] == 1
-        assert kinds["done"] == 1
+        kinds = [type(event) for event in obs.events()]
+        assert kinds.count(ThreadSpawned) == 1
+        assert kinds.count(ThreadFinished) == 1
 
     def test_tracer_records_migrations(self):
-        tracer = RecordingTracer()
+        obs = Observability()
         machine = Machine(tiny_spec())
         sim = Simulator(machine, TestMigration.RedirectingScheduler(),
-                        tracer=tracer)
+                        obs=obs)
         def program():
             yield CtStart(_obj())
             yield CtEnd()
         sim.spawn(program(), core_id=0)
         sim.run(until=10_000)
-        assert len(tracer.of_kind("migrate")) == 1
-        assert len(tracer.of_kind("arrive")) == 1
+        kinds = [type(event) for event in obs.events()]
+        assert kinds.count(MigrationStarted) == 1
+        assert kinds.count(ThreadArrived) == 1
 
 
 class TestRunResult:

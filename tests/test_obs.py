@@ -19,7 +19,6 @@ from repro.obs.metrics import (Histogram, MetricsRegistry)
 from repro.sched.base import SchedulerRuntime
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
-from repro.sim.trace import RecordingTracer
 from repro.threads.program import Compute, CtEnd, CtStart, OpDone
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
 
@@ -44,9 +43,9 @@ def annotated_program(n_ops=3, cycles=100, obj=None):
     return program()
 
 
-def run_workload(obs=None, tracer=None, until=150_000, scale=4):
+def run_workload(obs=None, until=150_000, scale=4):
     machine = Machine(tiny_spec())
-    sim = Simulator(machine, ThreadScheduler(), tracer=tracer, obs=obs)
+    sim = Simulator(machine, ThreadScheduler(), obs=obs)
     spec = DirWorkloadSpec(n_dirs=8, files_per_dir=16, think_cycles=10,
                            threads_per_core=2)
     DirectoryLookupWorkload(machine, spec).spawn_all(sim)
@@ -263,25 +262,8 @@ class TestSimulatorIntegration:
         # every class must be patched, not just the Event base.
         for klass in (Event,) + ALL_EVENTS:
             monkeypatch.setattr(klass, "__init__", boom)
-        result = run_workload()          # no tracer, no obs
+        result = run_workload()          # no obs
         assert result.ops > 0
-
-    def test_legacy_tracer_bridge(self):
-        tracer = RecordingTracer()
-        run_workload(tracer=tracer)
-        counts = tracer.counts()
-        assert counts["spawn"] > 0
-        assert counts["done"] >= 0
-        migrates = tracer.of_kind("migrate")
-        if migrates:
-            assert isinstance(migrates[0].detail, int)
-
-    def test_tracer_and_obs_can_coexist(self):
-        tracer = RecordingTracer()
-        obs = Observability()
-        run_workload(obs=obs, tracer=tracer)
-        spawns = [e for e in obs.events() if type(e) is ThreadSpawned]
-        assert len(spawns) == len(tracer.of_kind("spawn"))
 
     def test_run_markers_split_runs(self):
         obs = Observability()

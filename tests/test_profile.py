@@ -19,12 +19,10 @@ from repro.obs.events import (ALL_EVENTS, CacheEvicted, CacheInvalidated,
                               ThreadArrived, ThreadFinished, ThreadSpawned,
                               WorkerJoined, WorkerLost)
 from repro.obs.export import SCHEMA_VERSION, events_to_jsonl
-from repro.obs.profile import (MetricDelta, core_breakdown, diff_metrics,
-                               diff_streams, folded_stacks, load_jsonl,
-                               lock_table, migration_matrix, object_costs,
-                               occupancy_timeline, parse_jsonl,
-                               render_report, split_runs, stream_horizon,
-                               summarise_stream)
+from repro.obs.profile import (MetricDelta, diff_metrics, diff_streams,
+                               folded_stacks, load_jsonl, parse_jsonl,
+                               split_runs, summarise_stream)
+from repro.obs.stream import Profile, RunProfile
 from repro.sched.thread_sched import ThreadScheduler
 from repro.sim.engine import Simulator
 from repro.workloads.dirlookup import DirectoryLookupWorkload, DirWorkloadSpec
@@ -60,16 +58,27 @@ SAMPLE_EVENTS = [
 ]
 
 
+def record_runs(obs, n_runs=1, until=120_000):
+    """``n_runs`` small real ``thread`` runs recorded into ``obs``."""
+    for _ in range(n_runs):
+        machine = Machine(tiny_spec())
+        sim = Simulator(machine, ThreadScheduler(), obs=obs)
+        spec = DirWorkloadSpec(n_dirs=8, files_per_dir=16, think_cycles=10,
+                               threads_per_core=2, seed=7)
+        DirectoryLookupWorkload(machine, spec).spawn_all(sim)
+        sim.run(until=until)
+
+
 def run_events(until=120_000):
     """A small real run recorded through the full pipeline."""
     obs = Observability(capture_memory=True)
-    machine = Machine(tiny_spec())
-    sim = Simulator(machine, ThreadScheduler(), obs=obs)
-    spec = DirWorkloadSpec(n_dirs=8, files_per_dir=16, think_cycles=10,
-                           threads_per_core=2, seed=7)
-    DirectoryLookupWorkload(machine, spec).spawn_all(sim)
-    sim.run(until=until)
+    record_runs(obs, until=until)
     return obs.events()
+
+
+def section(events, label=None):
+    """The one-run profile every report renders from."""
+    return RunProfile.from_events(label, events)
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +183,27 @@ class TestDeterminism:
 class TestStreamStructure:
     def test_split_runs_on_markers(self):
         events = [RunMarker(0, "a"), ThreadSpawned(1, 0, "t0"),
-                  RunMarker(10, "b"), ThreadSpawned(11, 0, "t1")]
+                  RunMarker(10, "a"), ThreadSpawned(11, 0, "t1"),
+                  RunMarker(20, "b")]
         runs = split_runs(events)
-        assert [run.label for run in runs] == ["a", "b"]
-        assert [len(run.events) for run in runs] == [1, 1]
+        assert [run.label for run in runs] == ["a", "a", "b"]
+        assert [len(run.events) for run in runs] == [1, 1, 0]
+        sections = Profile.from_events(events).sections
+        assert [s.label for s in sections] == ["a", "a", "b"]
+        assert [s.events for s in sections] == [1, 1, 0]
 
     def test_markerless_stream_becomes_one_run(self):
-        runs = split_runs([ThreadSpawned(1, 0, "t0")])
-        assert len(runs) == 1 and runs[0].label == "run"
+        events = [ThreadSpawned(1, 0, "t0"), RunMarker(5, "a")]
+        runs = split_runs(events)
+        assert [run.label for run in runs] == ["run", "a"]
+        sections = Profile.from_events(events).sections
+        assert [s.display_label for s in sections] == ["run", "a"]
+        assert sections[0].label is None
 
     def test_horizon_counts_migration_landing(self):
         events = [MigrationStarted(100, 0, "t0", 1, 300)]
-        assert stream_horizon(events) == 300
+        assert section(events).horizon == 300
+        assert summarise_stream(events).horizon == 300
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +217,7 @@ class TestObjectCosts:
             OperationFinished(200, 0, "t1", "cold", 100, 1, 0, 10, 0),
             OperationFinished(300, 0, "t0", "hot", 700, 4, 2, 200, 0),
         ]
-        hot, cold = object_costs(events)
+        hot, cold = section(events).objects.result()
         assert hot.name == "hot" and cold.name == "cold"
         assert hot.ops == 2 and hot.attributed_ops == 2
         assert hot.cycles == 1600 and hot.dram_loads == 10
@@ -210,7 +228,7 @@ class TestObjectCosts:
     def test_migrated_op_is_counted_but_not_attributed(self):
         events = [OperationFinished(100, 0, "t0", "x", 500,
                                     None, None, None, None)]
-        (cost,) = object_costs(events)
+        (cost,) = section(events).objects.result()
         assert cost.ops == 1 and cost.attributed_ops == 0
         assert cost.per_attributed_op(cost.dram_loads) == 0.0
 
@@ -222,7 +240,8 @@ class TestObjectCosts:
                               None, None, None, None),
             MigrationStarted(500, 1, "t0", 0, 700),   # between operations
         ]
-        costs = {cost.name: cost for cost in object_costs(events)}
+        costs = {cost.name: cost
+                 for cost in section(events).objects.result()}
         assert costs["dir:D1"].migrations == 1
         assert costs["dir:D1"].migration_cycles == 200
         assert costs["(no operation)"].migrations == 1
@@ -233,7 +252,8 @@ class TestObjectCosts:
             CacheEvicted(11, 0, "L3", 2, None),      # outside an operation
             CacheInvalidated(12, 0, 3, 4, "dir:D1"),
         ]
-        costs = {cost.name: cost for cost in object_costs(events)}
+        costs = {cost.name: cost
+                 for cost in section(events).objects.result()}
         assert costs["dir:D1"].evictions == 1
         assert costs["dir:D1"].invalidations == 4
         assert "(no operation)" not in costs
@@ -242,7 +262,7 @@ class TestObjectCosts:
 class TestCoreBreakdown:
     def test_local_ops_fill_busy(self):
         events = [OperationFinished(1000, 0, "t0", "x", 600, 1, 0, 200, 50)]
-        (core,) = core_breakdown(events, horizon=1000)
+        (core,) = section(events).cores.result(1000)
         assert core.busy == 600 and core.mem_stall == 200
         assert core.spin == 50 and core.idle == 400
         assert core.unplaced_ops == 0
@@ -252,14 +272,14 @@ class TestCoreBreakdown:
         # placing them on the finishing core once pushed busy past 100%.
         events = [OperationFinished(1000, 0, "t0", "x", 5000,
                                     None, None, None, None)]
-        (core,) = core_breakdown(events, horizon=1000)
+        (core,) = section(events).cores.result(1000)
         assert core.busy == 0
         assert core.unplaced_ops == 1 and core.unplaced_cycles == 5000
         assert core.frac(core.busy) <= 1.0
 
     def test_outbound_migration_time(self):
         events = [MigrationStarted(100, 2, "t0", 3, 400)]
-        (core,) = core_breakdown(events, horizon=1000)
+        (core,) = section(events).cores.result(1000)
         assert core.core == 2 and core.migrating == 300
 
 
@@ -268,13 +288,13 @@ class TestMatrixLocksTimeline:
         events = [MigrationStarted(1, 0, "t0", 1, 201),
                   MigrationStarted(2, 0, "t1", 1, 202),
                   MigrationStarted(3, 1, "t0", 0, 203)]
-        assert migration_matrix(events) == {(0, 1): 2, (1, 0): 1}
+        assert section(events).matrix.result() == {(0, 1): 2, (1, 0): 1}
 
     def test_lock_table_orders_by_contention(self):
         events = [LockContended(1, 0, "t0", "a"),
                   LockContended(2, 1, "t1", "b"),
                   LockContended(3, 1, "t2", "b")]
-        stats = lock_table(events)
+        stats = section(events).locks.result()
         assert [stat.name for stat in stats] == ["b", "a"]
         assert stats[0].contended_acquires == 2
         assert stats[0].hottest_core == 1
@@ -283,14 +303,15 @@ class TestMatrixLocksTimeline:
     def test_occupancy_timeline_counts_assignments(self):
         events = [ObjectAssigned(10, 0, "a"), ObjectAssigned(20, 0, "b"),
                   ObjectMoved(900, 0, "a", 1, 0.5)]
-        text = occupancy_timeline(events, width=10)
+        profile = section(events)
+        text = profile.occupancy.render(profile.horizon, width=10)
         lines = text.splitlines()
         assert lines[1].startswith("core   0")
         assert lines[1].rstrip("|").endswith("1")     # after the move
         assert lines[2].rstrip("|").endswith("1")     # core 1 gained it
 
     def test_occupancy_timeline_without_assignments(self):
-        assert "no assignment events" in occupancy_timeline([])
+        assert "no assignment events" in section([]).occupancy.render(0)
 
 
 class TestFoldedStacks:
@@ -300,7 +321,7 @@ class TestFoldedStacks:
             MigrationStarted(20, 0, "t0", 1, 120),
             OperationFinished(1000, 0, "t0", "x", 800, 2, 1, 300, 100),
         ]
-        lines = folded_stacks(events, label="wl")
+        lines = folded_stacks(section(events, label="wl"))
         parsed = {}
         for line in lines:
             stack, cycles = line.rsplit(" ", 1)
@@ -317,11 +338,11 @@ class TestFoldedStacks:
     def test_unattributed_phase_for_migrated_ops(self):
         events = [OperationFinished(1000, 0, "t0", "x", 500,
                                     None, None, None, None)]
-        (line,) = folded_stacks(events)
+        (line,) = folded_stacks(section(events))
         assert line == "run;x;unattributed 500"
 
     def test_real_run_folds(self):
-        lines = folded_stacks(run_events())
+        lines = folded_stacks(section(run_events()))
         assert lines
         for line in lines:
             stack, cycles = line.rsplit(" ", 1)
@@ -395,12 +416,7 @@ class TestReportAndCli:
     @pytest.fixture()
     def recorded(self, tmp_path):
         obs = Observability(capture_memory=True)
-        machine = Machine(tiny_spec())
-        sim = Simulator(machine, ThreadScheduler(), obs=obs)
-        spec = DirWorkloadSpec(n_dirs=8, files_per_dir=16, think_cycles=10,
-                               threads_per_core=2, seed=7)
-        DirectoryLookupWorkload(machine, spec).spawn_all(sim)
-        sim.run(until=120_000)
+        record_runs(obs)
         path = tmp_path / "run.events.jsonl"
         obs.write_jsonl(str(path))
         metrics = tmp_path / "run.metrics.json"
@@ -411,7 +427,7 @@ class TestReportAndCli:
     def test_render_report_has_all_sections(self, recorded):
         path, _ = recorded
         (run,) = split_runs(load_jsonl(str(path)).events)
-        text = render_report(run)
+        text = section(run.events, label=run.label).render()
         assert "Per-object attribution" in text
         assert "Per-core time breakdown" in text
         assert "Lock contention" in text or "no lock contention" in text
@@ -475,12 +491,7 @@ class TestReportAndCli:
 
     def test_profile_report_matches_cli_sections(self):
         obs = Observability()
-        machine = Machine(tiny_spec())
-        sim = Simulator(machine, ThreadScheduler(), obs=obs)
-        spec = DirWorkloadSpec(n_dirs=8, files_per_dir=16, think_cycles=10,
-                               threads_per_core=2, seed=7)
-        DirectoryLookupWorkload(machine, spec).spawn_all(sim)
-        sim.run(until=120_000)
+        record_runs(obs)
         text = obs.profile_report()
         assert "Per-object attribution" in text
         assert "=== run: thread" in text

@@ -2,6 +2,7 @@
 
 import glob
 import gzip
+import hashlib
 import os
 import socket
 import threading
@@ -16,13 +17,13 @@ from repro.obs.events import (LockContended, ObjectAssigned,
                               OperationFinished, RunMarker)
 from repro.obs.export import write_jsonl
 from repro.obs.metrics import OP_LATENCY_BUCKETS, Histogram
-from repro.obs.profile import (iter_jsonl, load_jsonl,
-                               render_lock_table, render_object_costs,
-                               lock_table, object_costs, render_report,
-                               split_runs)
-from repro.obs.stream import (OccupancyReducer, Profile, ShardRecorder,
-                              StreamProfiler, load_profile,
-                              merge_profiles, synthesize)
+from repro.obs.profile import iter_jsonl, load_jsonl, split_runs
+from repro.obs.stream import (DEFAULT_SAMPLE_CAPACITY, OccupancyReducer,
+                              Profile, RunProfile, ShardRecorder,
+                              StreamProfiler, load_profile, merge_profiles,
+                              render_lock_table, render_object_costs,
+                              synthesize)
+from repro.sweep.cli import main as sweep_main
 from repro.sweep.runner import run_sweep
 
 from tests.test_sweep import quick_options, tiny_sweep
@@ -66,13 +67,6 @@ class TestMergeLaw:
         assert a.merge(b).merge(c).to_json() \
             == a.merge(b.merge(c)).to_json()
 
-    def test_commutes_for_disjoint_labels(self):
-        a = Profile.from_events(synth(200, seed=1, label="alpha"))
-        b = Profile.from_events(synth(200, seed=2, label="beta"))
-        # Section order differs (first-appearance), so byte equality is
-        # out; profile equality is section-order-insensitive.
-        assert a.merge(b) == b.merge(a)
-
     def test_merge_profiles_folds_left_to_right(self):
         events = synth(300, seed=4)
         parts = [Profile.from_events(events[i:i + 100])
@@ -103,8 +97,13 @@ class TestMergeLaw:
 
 
 # ---------------------------------------------------------------------------
-# streaming == batch, byte for byte
+# reports pinned to the bytes the per-run (split on every RunMarker)
+# analyzer printed before reports rendered through Profile
 # ---------------------------------------------------------------------------
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def fig2_events(tmp_path_factory):
@@ -117,39 +116,178 @@ def fig2_events(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def migration_events(tmp_path_factory):
+    """Three real runs, two of them labelled ``coretime``."""
+    from repro.bench.figures import migration_cost_sweep
+
+    obs = Observability()
+    migration_cost_sweep(costs=(0, 500), n_dirs=8, scale=2,
+                         warmup_cycles=20_000, measure_cycles=30_000,
+                         seed=3, obs=obs)
+    assert obs.runs == ["coretime", "coretime", "thread"]
+    path = tmp_path_factory.mktemp("migration") / "mig.events.jsonl"
+    obs.write_jsonl(str(path))
+    return str(path), obs
+
+
+@pytest.fixture(scope="module")
+def synth_events(tmp_path_factory):
+    path = tmp_path_factory.mktemp("synth") / "s.events.jsonl.gz"
+    write_jsonl(str(path), synthesize(3_000, seed=6))
+    return str(path)
+
+
+#: sha256 of the recordings themselves, so a golden mismatch below can
+#: be told apart from a change in what the simulator records.
+RECORDING_SHA = {
+    "fig2": "86d7a65c611ab7a12d39611951064465"
+            "cc94b18258e51c155822652856814e29",
+    "migration": "309ff9d32580c430beea34a9e512c24e"
+                 "94544a88eca013755edbc8aeb2944f1a",
+}
+
+#: sha256 of ``repro-analyze`` stdout: (recording, argv after the path).
+GOLDEN = {
+    ("fig2", ("report",)):
+        "b999dc368f82276cdeb2b11fe92b7ae9c24f5a745388c607df803c19bd1835d6",
+    ("fig2", ("report", "--run", "coretime")):
+        "6f0bb289a694847fdb8343617e5e8da4d6e6d6bf8ec55a78c4064bbeb6515b08",
+    ("fig2", ("report", "--run", "1")):
+        "6f0bb289a694847fdb8343617e5e8da4d6e6d6bf8ec55a78c4064bbeb6515b08",
+    ("fig2", ("folded",)):
+        "d9f600a82d2e3476b53b6164b485a8ed5f5c266adece60a3acb9ddd0b2227d8d",
+    ("fig2", ("folded", "--run", "coretime")):
+        "b0b7e38003d46e0fcb4a0b6117c83f8ccfb203d737500a1dbbf2c4fd69950980",
+    ("migration", ("report",)):
+        "b3a9c5caabe5d3bf2c710017ae22414cebc1d8d45fc92050681fb382eb1212cf",
+    ("migration", ("report", "--run", "coretime")):
+        "034e40e4fd9b401668ec3d3e0d331dc2cbd7e808e4627ae402eed697b921e45a",
+    ("migration", ("report", "--run", "1")):
+        "0f9992aa3e1ce9e012159195f3b2f7aef4109b666dc019402b5611e4710c3be5",
+    ("migration", ("folded",)):
+        "732f07ed9a40e2802f06e4de2d8245649b9f2c7dcbed6dccecfbff8f829992ba",
+    ("migration", ("folded", "--run", "coretime")):
+        "b6c90575bda5251eee5235c7226b592cdccb3ace712e36a67f7715b4ad91ac33",
+    ("synth", ("report",)):
+        "6a53d6a2a69e45ae494a9f8b93ed8a27ca63953d737e31ee11715f20db313bd8",
+    ("synth", ("report", "--run", "synthetic")):
+        "6a53d6a2a69e45ae494a9f8b93ed8a27ca63953d737e31ee11715f20db313bd8",
+    ("synth", ("report", "--run", "0")):
+        "6a53d6a2a69e45ae494a9f8b93ed8a27ca63953d737e31ee11715f20db313bd8",
+    ("synth", ("folded",)):
+        "43f30dc471a9d02ea64fcd50754ca8843550ae353f60d1e83ddf9725c93f2b9d",
+}
+
+
+def _check_golden(name, path, capsys, only=None):
+    if name in RECORDING_SHA:
+        with open(path, "rb") as handle:
+            assert hashlib.sha256(handle.read()).hexdigest() \
+                == RECORDING_SHA[name], f"{name}: the recording changed"
+    for (recording, argv), digest in GOLDEN.items():
+        if recording != name or (only is not None and argv[0] != only):
+            continue
+        command, rest = argv[0], list(argv[1:])
+        assert analyze_main([command, path] + rest) == 0
+        assert _sha(capsys.readouterr().out) == digest, (name, argv)
+
+
 class TestStreamingMatchesBatch:
     def test_report_identical_on_real_recording(self, fig2_events,
                                                 capsys):
-        assert analyze_main(["report", fig2_events]) == 0
-        batch = capsys.readouterr().out
-        assert analyze_main(["report", fig2_events, "--stream"]) == 0
-        stream = capsys.readouterr().out
-        assert stream == batch
+        _check_golden("fig2", fig2_events, capsys, only="report")
 
-    def test_run_filter_identical(self, fig2_events, capsys):
-        runs = split_runs(load_jsonl(fig2_events).events)
-        label = runs[0].label
-        assert analyze_main(["report", fig2_events, "--run", label]) == 0
-        batch = capsys.readouterr().out
-        assert analyze_main(["report", fig2_events, "--run", label,
-                             "--stream"]) == 0
-        assert capsys.readouterr().out == batch
+    def test_run_filter_identical(self, migration_events, capsys):
+        path, _ = migration_events
+        _check_golden("migration", path, capsys, only="report")
 
-    def test_batch_helpers_match_reducers(self, fig2_events):
-        events = load_jsonl(fig2_events).events
-        for run in split_runs(events):
-            profile = Profile.from_events(
-                [RunMarker(0, run.label)] + list(run.events))
-            section = profile.sections[0]
-            assert section.render() == render_report(run)
+    def test_batch_helpers_match_reducers(self, migration_events):
+        path, _ = migration_events
+        runs = split_runs(load_jsonl(path).events)
+        sections = StreamProfiler().feed_path(path).profile.sections
+        assert len(sections) == len(runs) == 3
+        for run, section in zip(runs, sections):
+            alone = RunProfile.from_events(run.label, run.events)
+            assert section.state() == alone.state()
+            assert section.render() == alone.render()
 
-    def test_synthetic_stream_identical_too(self, tmp_path, capsys):
-        path = str(tmp_path / "s.events.jsonl.gz")
-        write_jsonl(path, synthesize(3_000, seed=6))
-        assert analyze_main(["report", path]) == 0
-        batch = capsys.readouterr().out
-        assert analyze_main(["report", path, "--stream"]) == 0
-        assert capsys.readouterr().out == batch
+    def test_synthetic_stream_identical_too(self, synth_events, capsys):
+        _check_golden("synth", synth_events, capsys)
+
+    def test_folded_identical(self, fig2_events, migration_events,
+                              capsys):
+        _check_golden("fig2", fig2_events, capsys, only="folded")
+        _check_golden("migration", migration_events[0], capsys,
+                      only="folded")
+
+    def test_bench_profile_report_identical(self, migration_events):
+        # ``repro.bench --profile-out`` writes Observability.profile_report
+        _, obs = migration_events
+        assert _sha(obs.profile_report() + "\n") \
+            == GOLDEN[("migration", ("report",))]
+
+
+# ---------------------------------------------------------------------------
+# one section per run, even when runs share a label
+# ---------------------------------------------------------------------------
+
+def _max_busy(profile):
+    return max(core.frac(core.busy) for section in profile.sections
+               for core in section.cores.result(section.horizon))
+
+
+@pytest.fixture(scope="module")
+def same_label_runs(tmp_path_factory):
+    """Two real ``thread`` runs recorded into one stream."""
+    from tests.test_profile import record_runs
+
+    obs = Observability()
+    record_runs(obs, 2)
+    assert obs.runs == ["thread", "thread"]
+    path = tmp_path_factory.mktemp("same") / "same.events.jsonl"
+    obs.write_jsonl(str(path))
+    return str(path), obs.events()
+
+
+class TestOneSectionPerRun:
+    def test_profile_keeps_same_label_runs_apart(self, same_label_runs):
+        _, events = same_label_runs
+        profile = Profile.from_events(events)
+        assert [s.label for s in profile.sections] == ["thread", "thread"]
+        assert 0 < _max_busy(profile) <= 1.0
+
+    def test_profile_and_merge_cli(self, same_label_runs, tmp_path,
+                                   capsys):
+        path, events = same_label_runs
+        second = max(i for i, e in enumerate(events)
+                     if type(e) is RunMarker)
+        halves = []
+        for index, part in enumerate((events[:second], events[second:])):
+            shard = str(tmp_path / f"{index}.events.jsonl")
+            write_jsonl(shard, part)
+            halves.append(str(tmp_path / f"{index}.profile.json"))
+            assert analyze_main(["profile", shard, "-o", halves[-1]]) == 0
+        whole = str(tmp_path / "whole.profile.json")
+        merged = str(tmp_path / "merged.profile.json")
+        assert analyze_main(["profile", path, "-o", whole]) == 0
+        assert analyze_main(["merge", *halves, "-o", merged]) == 0
+        capsys.readouterr()
+        assert load_profile(merged) == load_profile(whole)
+        assert len(load_profile(merged).sections) == 2
+        assert 0 < _max_busy(load_profile(merged)) <= 1.0
+
+    def test_sweep_fleet_profile(self, tmp_path, capsys):
+        shards = str(tmp_path / "shards")
+        assert sweep_main(["run", "smoke", "--seeds", "1", "--seed", "7",
+                           "--workers", "0", "--out",
+                           str(tmp_path / "out"), "--profile-dir", shards,
+                           "--quiet"]) == 0
+        capsys.readouterr()
+        fleet = load_profile(os.path.join(shards, "fleet.profile.json"))
+        # the smoke grid: 2 schedulers x 2 workloads x 1 seed
+        assert len(fleet.sections) == 4
+        assert 0 < _max_busy(fleet) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -168,46 +306,38 @@ def _occupancy_events(n, seed):
     return events
 
 
+def _occupancy(events, capacity=DEFAULT_SAMPLE_CAPACITY):
+    return RunProfile.from_events(None, events,
+                                  sample_capacity=capacity).occupancy
+
+
 class TestOccupancySampling:
     def test_seeded_and_order_free(self):
         events = _occupancy_events(500, seed=2)
-        forward, backward = (OccupancyReducer(capacity=64)
-                             for _ in range(2))
-        for event in events:
-            forward.feed(event)
-        for event in reversed(events):
-            backward.feed(event)
+        forward = _occupancy(events, capacity=64)
+        backward = _occupancy(reversed(events), capacity=64)
         assert forward.state() == backward.state()
         assert forward.render(events[-1].ts) == backward.render(
             events[-1].ts)
 
     def test_merge_law_survives_pruning(self):
         events = _occupancy_events(500, seed=7)
-        whole = OccupancyReducer(capacity=64)
-        left, right = (OccupancyReducer(capacity=64) for _ in range(2))
-        for event in events:
-            whole.feed(event)
-        for event in events[:250]:
-            left.feed(event)
-        for event in events[250:]:
-            right.feed(event)
+        whole = _occupancy(events, capacity=64)
+        left = _occupancy(events[:250], capacity=64)
+        right = _occupancy(events[250:], capacity=64)
         left.merge_from(right)
         assert left.state() == whole.state()
 
     def test_annotates_when_sampled(self):
         events = _occupancy_events(300, seed=1)
-        reducer = OccupancyReducer(capacity=32)
-        for event in events:
-            reducer.feed(event)
+        reducer = _occupancy(events, capacity=32)
         assert reducer.pruned
         rendered = reducer.render(events[-1].ts)
         assert "[sampled: kept" in rendered
         assert f"of {reducer.total:,} changes" in rendered
 
     def test_unsampled_stream_has_no_annotation(self):
-        reducer = OccupancyReducer()
-        for event in _occupancy_events(100, seed=1):
-            reducer.feed(event)
+        reducer = _occupancy(_occupancy_events(100, seed=1))
         assert "[sampled" not in reducer.render(10_000)
 
     def test_capacity_mismatch_refuses_merge(self):
@@ -280,15 +410,17 @@ class TestDiagnostics:
         events = [OperationFinished(100 * (i + 1), 0, "t0", f"dir:D{i}",
                                     100, 1, 1, 10, 5)
                   for i in range(8)]
-        text = render_object_costs(object_costs(events), top=3)
+        costs = RunProfile.from_events(None, events).objects.result()
+        text = render_object_costs(costs, top=3)
         assert "5 rows dropped" in text
-        full = render_object_costs(object_costs(events), top=8)
+        full = render_object_costs(costs, top=8)
         assert "dropped" not in full
 
     def test_lock_table_logs_dropped_rows(self):
         events = [LockContended(10 * (i + 1), 0, "t0", f"lock:L{i}")
                   for i in range(6)]
-        text = render_lock_table(lock_table(events), top=2)
+        locks = RunProfile.from_events(None, events).locks.result()
+        text = render_lock_table(locks, top=2)
         assert "4 rows dropped" in text
 
 
@@ -362,7 +494,7 @@ class TestCli:
     def test_empty_stream_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"kind":"meta","schema_version":5}\n')
-        assert analyze_main(["report", str(path), "--stream"]) == 2
+        assert analyze_main(["report", str(path)]) == 2
         assert "stream contains no events" in capsys.readouterr().err
         assert analyze_main(["profile", str(path), "-o",
                              str(tmp_path / "p.json")]) == 2
@@ -370,8 +502,7 @@ class TestCli:
     def test_rss_cap_must_be_positive(self, tmp_path, capsys):
         path = str(tmp_path / "e.jsonl")
         write_jsonl(path, synthesize(10, seed=0))
-        assert analyze_main(["report", path, "--stream",
-                             "--max-rss-mb", "0"]) == 2
+        assert analyze_main(["report", path, "--max-rss-mb", "0"]) == 2
 
     def test_generous_rss_cap_passes(self, tmp_path, capsys):
         pytest.importorskip("resource")
@@ -383,7 +514,7 @@ class TestCli:
         # unprivileged process, so the cap must not leak into pytest.
         result = subprocess.run(
             [sys.executable, "-m", "repro.obs.cli", "report", path,
-             "--stream", "--max-rss-mb", "2048"],
+             "--max-rss-mb", "2048"],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert "=== run: synthetic" in result.stdout
@@ -468,9 +599,9 @@ class TestSweepShardProfiles:
                                              "serial.profile.json"))
         replayed = _profile_of_concatenated_shards(shards)
         assert recorded.to_json() == replayed.to_json()
-        # One section per scheduler, every case folded in.
+        # One section per case: 2 schedulers x 2 workloads.
         assert sorted(s.display_label for s in recorded.sections) \
-            == ["coretime", "thread"]
+            == ["coretime", "coretime", "thread", "thread"]
 
     def test_worker_shards_merge_to_concatenated_profile(self, tmp_path):
         shards = str(tmp_path / "shards")
